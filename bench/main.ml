@@ -6,7 +6,6 @@
      dune exec bench/main.exe -- fig6 table1  # a subset
      dune exec bench/main.exe -- --list
      dune exec bench/main.exe -- --latency    # BENCH_latency.json only
-     dune exec bench/main.exe -- --bechamel   # wall-clock micro-benches
      dune exec bench/main.exe -- --all        # engine x workload matrix -> BENCH_summary.json
      dune exec bench/main.exe -- compare --against BENCH_summary.json [--tolerance PCT] [--p99-tolerance PCT]
                                               # re-measure the matrix, exit 1 on regression *)
@@ -128,7 +127,6 @@ let () =
       print_endline "\nAll experiments done; CSVs are under results/."
   | [ "--list" ] -> list_experiments ()
   | [ "--latency" ] -> bench_latency ()
-  | [ "--bechamel" ] -> Bechamel_suite.run ()
   | [ "--all" ] -> bench_all ()
   | "compare" :: rest ->
       let against, tolerance, p99_tolerance = parse_compare_args None None None rest in

@@ -361,20 +361,12 @@ let checkpoint_cmd =
     setup_logs verbose;
     if txns < 0 || tail < 0 then `Error (false, "txns and tail must be non-negative")
     else begin
-      let clock = Sim.Clock.create () in
-      let specs =
-        List.mapi
-          (fun i n -> Cluster.spec ~dram_size:(64 * 1024 * 1024) ~power_supply:i n)
-          [ "primary"; "mirror"; "ckpt"; "spare" ]
+      let { Harness.Testbed.clock; cluster; server; ckpt_server; perseas = t } =
+        Harness.Testbed.checkpoint_bed ()
       in
-      let cluster = Cluster.create ~clock specs in
-      let server = Netram.Server.create (Cluster.node cluster 1) in
-      let client = Netram.Client.create ~cluster ~local:0 ~server in
-      let t = Perseas.init_replicated [ client ] in
       let module W = Workloads.Debit_credit.Make (Perseas.Engine) in
       let rng = Sim.Rng.create 7 in
       let db = W.setup t ~params:Workloads.Debit_credit.default_params in
-      let ckpt_server = Netram.Server.create (Cluster.node cluster 2) in
       Perseas.Checkpoint.set_ram_target t ~server:ckpt_server;
       for _ = 1 to txns do
         W.transaction db rng

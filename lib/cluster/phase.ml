@@ -11,13 +11,6 @@ open Sim
 
 type kind = Partitioned | Single_master
 
-type switch = {
-  sw_at : Time.t;
-  sw_to : kind;
-  sw_epoch : int;  (* phase epoch after the switch *)
-  sw_backlog : int;  (* cross-shard backlog at switch time *)
-}
-
 type t = {
   interval : Time.t;  (* minimum partitioned-phase length between drains *)
   master : int;  (* shard designated to run single-master phases *)
@@ -26,7 +19,6 @@ type t = {
   mutable since : Time.t;  (* start of the current phase *)
   mutable backlog : int;  (* queued cross-shard transactions *)
   mutable drained : int;  (* cross-shard transactions committed, total *)
-  mutable switches : switch list;  (* newest first *)
 }
 
 let create ?(interval = Time.us 200.0) ?(master = 0) () =
@@ -40,7 +32,6 @@ let create ?(interval = Time.us 200.0) ?(master = 0) () =
     since = Time.zero;
     backlog = 0;
     drained = 0;
-    switches = [];
   }
 
 let kind t = t.kind
@@ -51,7 +42,6 @@ let interval t = t.interval
 let backlog t = t.backlog
 let drained t = t.drained
 let since t = t.since
-let switches t = List.rev t.switches
 
 let enqueue t = t.backlog <- t.backlog + 1
 
@@ -65,8 +55,7 @@ let due t ~now =
 let switch t ~at ~to_ =
   t.kind <- to_;
   t.epoch <- t.epoch + 1;
-  t.since <- at;
-  t.switches <- { sw_at = at; sw_to = to_; sw_epoch = t.epoch; sw_backlog = t.backlog } :: t.switches
+  t.since <- at
 
 let begin_single_master t ~at =
   if t.kind = Single_master then invalid_arg "Phase.begin_single_master: already single-master";
@@ -80,4 +69,6 @@ let end_single_master t ~drained ~at =
   t.drained <- t.drained + drained;
   switch t ~at ~to_:Partitioned
 
-let single_master_phases t = List.length (List.filter (fun s -> s.sw_to = Single_master) t.switches)
+(* Phases alternate starting from partitioned, so every odd epoch
+   entered a single-master phase. *)
+let single_master_phases t = (t.epoch + 1) / 2

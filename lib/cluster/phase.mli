@@ -6,20 +6,13 @@
     designated master drains the queued cross-shard backlog while the
     other shards are quiesced (PAPERS.md: "STAR: Scaling Transactions
     through Asymmetric Replication").  This module is the pure state
-    machine over virtual time: phase kind, phase epoch, backlog and
-    switch history.  Fencing the shards and executing the backlog is
-    the router's job ([Perseas.Shard]). *)
+    machine over virtual time: phase kind, phase epoch and backlog.
+    Fencing the shards and executing the backlog is the router's job
+    ([Perseas.Shard]). *)
 
 open Sim
 
 type kind = Partitioned | Single_master
-
-type switch = {
-  sw_at : Time.t;
-  sw_to : kind;
-  sw_epoch : int;  (** Phase epoch after the switch. *)
-  sw_backlog : int;  (** Cross-shard backlog at switch time. *)
-}
 
 type t
 
@@ -62,9 +55,6 @@ val end_single_master : t -> drained:int -> at:Time.t -> unit
     from the backlog (conflicted ones may remain queued for the next
     drain).  Raises [Invalid_argument] when not in single-master phase
     or on an out-of-range drained count. *)
-
-val switches : t -> switch list
-(** Oldest first. *)
 
 val single_master_phases : t -> int
 (** Number of single-master phases entered. *)

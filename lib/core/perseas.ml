@@ -18,7 +18,6 @@ type config = {
   optimized_memcpy : bool;
   redundancy_elision : bool;
   namespace : string;
-  dirty_log_limit : int;
   group_commit : int;
       (* commits per shared flush; 1 = eager per-commit propagation
          (the single-txn-era behaviour, byte-identical to it) *)
@@ -35,7 +34,6 @@ let default_config =
     optimized_memcpy = true;
     redundancy_elision = true;
     namespace = Layout.default_namespace;
-    dirty_log_limit = 4096;
     group_commit = 1;
     retired_limit = 64;
   }
@@ -64,27 +62,30 @@ type segment = {
          is attached (so checkpoints-off metas stay byte-identical) *)
 }
 
+(* The engine's counters, bumped in place; [stats] hands callers a
+   copy.  [degraded_us] is filled in only on that copy, from the
+   degraded-window clock reads. *)
 type stats = {
-  begun : int;
-  committed : int;
-  aborts : int;
-  set_ranges : int;
-  undo_bytes_logged : int;
-  elided_undo_bytes : int;
-  undo_hwm_bytes : int;
-  coalesced_ranges : int;
-  commit_bytes_saved : int;
-  local_copy_bytes : int;
-  mirrors_lost : int;
-  mirrors_recruited : int;
-  resync_bytes : int;
-  degraded_us : int;
-  conflicts : int;
-  group_flushes : int;
-  group_commit_txns : int;
-  checkpoints_taken : int;
-  checkpoint_bytes : int;
-  log_truncated_bytes : int;
+  mutable begun : int;
+  mutable committed : int;
+  mutable aborts : int;
+  mutable set_ranges : int;
+  mutable undo_bytes_logged : int;
+  mutable elided_undo_bytes : int;
+  mutable undo_hwm_bytes : int;
+  mutable coalesced_ranges : int;
+  mutable commit_bytes_saved : int;
+  mutable local_copy_bytes : int;
+  mutable mirrors_lost : int;
+  mutable mirrors_recruited : int;
+  mutable resync_bytes : int;
+  mutable degraded_us : int;
+  mutable conflicts : int;
+  mutable group_flushes : int;
+  mutable group_commit_txns : int;
+  mutable checkpoints_taken : int;
+  mutable checkpoint_bytes : int;
+  mutable log_truncated_bytes : int;
 }
 
 type resync_mode = Full | Incremental
@@ -92,8 +93,8 @@ type resync_report = { mode : resync_mode; bytes_copied : int; full_bytes : int 
 
 (* One committed (or conservatively, rolled-back) range: the epoch tag
    is the epoch value from which a mirror must have confirmed to NOT
-   need this range re-copied.  Entries are kept newest-first and their
-   tags never decrease along the list. *)
+   need this range re-copied.  Entries are kept oldest-first and their
+   tags never decrease along the queue. *)
 type dirty_range = { d_epoch : int64; d_seg : int; d_off : int; d_len : int }
 
 (* Where fuzzy checkpoints go: a remote server's RAM (two alternating
@@ -152,12 +153,11 @@ type t = {
       (* Mirror count below which the database counts as degraded; the
          supervisor aligns this with its own target. *)
   mutable degraded_since : Time.t option;
-  mutable st_degraded : Time.t; (* closed degraded windows, summed *)
+  mutable degraded : Time.t; (* closed degraded windows, summed *)
   retired : (int, int64) Hashtbl.t;
       (* node id -> last epoch confirmed on that ex-mirror, the basis
          for incremental resync when the node's server comes back *)
-  mutable dirty : dirty_range list; (* newest first, tags nondecreasing *)
-  mutable dirty_count : int;
+  dirty : dirty_range Queue.t; (* oldest first, tags nondecreasing *)
   mutable dirty_floor : int64;
       (* the log is complete for resyncs "since e" iff e >= dirty_floor *)
   mutable ckpt_target : ckpt_target option;
@@ -169,25 +169,7 @@ type t = {
          predates the truncation, keeping the dirty log complete for
          incremental resync even after checkpoints empty it *)
   mutable ckpt_summary_upto : int64; (* entries tagged <= this live in the summary *)
-  mutable st_ckpts : int;
-  mutable st_ckpt_bytes : int;
-  mutable st_log_truncated : int;
-  mutable st_begun : int;
-  mutable st_committed : int;
-  mutable st_aborted : int;
-  mutable st_set_ranges : int;
-  mutable st_undo_bytes : int;
-  mutable st_elided_bytes : int;
-  mutable st_undo_hwm : int;
-  mutable st_coalesced_ranges : int;
-  mutable st_commit_saved : int;
-  mutable st_local_copy_bytes : int;
-  mutable st_mirrors_lost : int;
-  mutable st_mirrors_recruited : int;
-  mutable st_resync_bytes : int;
-  mutable st_conflicts : int;
-  mutable st_group_flushes : int;
-  mutable st_group_txns : int;
+  st : stats;
 }
 
 and range = {
@@ -230,7 +212,7 @@ let params t = Sci.Nic.params (Cluster.nic t.cluster)
 
 let charge_local_copy t len =
   Clock.advance (clock t) (Sci.Model.local_copy (params t) len);
-  t.st_local_copy_bytes <- t.st_local_copy_bytes + len
+  t.st.local_copy_bytes <- t.st.local_copy_bytes + len
 
 (* Wiring one sink here also attaches it to the cluster's NIC, so a
    single call traces the whole stack: transaction phases from this
@@ -285,20 +267,14 @@ let meta_size t = Layout.meta_size ~max_segments:t.config.max_segments
 (* ------------------------------------------------------------------ *)
 (* Mirror-set plumbing                                                  *)
 
-let live_mirror_list t =
-  Array.to_list t.mirrors |> List.filter (fun m -> m.m_alive)
-
-let live_mirrors t =
-  List.map (fun m -> Node.id (Client.server m.m_client |> Netram.Server.node)) (live_mirror_list t)
+let mirror_node_id m = Node.id (Netram.Server.node (Client.server m.m_client))
+let live_mirror_list t = Array.to_list t.mirrors |> List.filter (fun m -> m.m_alive)
+let live_mirrors t = List.map mirror_node_id (live_mirror_list t)
 
 let mirrors t =
-  Array.to_list t.mirrors
-  |> List.map (fun m ->
-         { node_id = Node.id (Netram.Server.node (Client.server m.m_client)); alive = m.m_alive })
+  Array.to_list t.mirrors |> List.map (fun m -> { node_id = mirror_node_id m; alive = m.m_alive })
 
 let mirror_count t = List.length (live_mirror_list t)
-
-let mirror_node_id m = Node.id (Netram.Server.node (Client.server m.m_client))
 
 (* Degraded-time accounting: a window opens when the live-mirror count
    falls below [repl_target] and closes when it recovers.  Pure
@@ -311,12 +287,12 @@ let note_replication t =
   else
     match t.degraded_since with
     | Some since ->
-        t.st_degraded <- t.st_degraded + (now - since);
+        t.degraded <- t.degraded + (now - since);
         t.degraded_since <- None
     | None -> ()
 
 let degraded_total t =
-  t.st_degraded
+  t.degraded
   + (match t.degraded_since with Some since -> Clock.now (clock t) - since | None -> Time.zero)
 
 let set_replication_target t n =
@@ -339,21 +315,21 @@ let set_telemetry t tel =
       Trace.Timeseries.set tel "perseas.live_mirrors" (mirror_count t);
       Trace.Timeseries.set tel "perseas.open_txns" (List.length t.open_txns);
       Trace.Timeseries.set tel "perseas.staged_txns" (List.length t.staged);
-      Trace.Timeseries.set tel "perseas.conflicts" t.st_conflicts;
-      Trace.Timeseries.set tel "perseas.group_flushes" t.st_group_flushes;
-      Trace.Timeseries.set tel "perseas.dirty_log" t.dirty_count;
-      Trace.Timeseries.set tel "perseas.undo_hwm_bytes" t.st_undo_hwm;
-      Trace.Timeseries.set tel "perseas.checkpoints_taken" t.st_ckpts;
-      Trace.Timeseries.set tel "perseas.checkpoint_bytes" t.st_ckpt_bytes;
-      Trace.Timeseries.set tel "perseas.log_truncated_bytes" t.st_log_truncated;
+      Trace.Timeseries.set tel "perseas.conflicts" t.st.conflicts;
+      Trace.Timeseries.set tel "perseas.group_flushes" t.st.group_flushes;
+      Trace.Timeseries.set tel "perseas.dirty_log" (Queue.length t.dirty);
+      Trace.Timeseries.set tel "perseas.undo_hwm_bytes" t.st.undo_hwm_bytes;
+      Trace.Timeseries.set tel "perseas.checkpoints_taken" t.st.checkpoints_taken;
+      Trace.Timeseries.set tel "perseas.checkpoint_bytes" t.st.checkpoint_bytes;
+      Trace.Timeseries.set tel "perseas.log_truncated_bytes" t.st.log_truncated_bytes;
       Trace.Timeseries.set tel "perseas.retired_entries" (Hashtbl.length t.retired);
-      Trace.Timeseries.set tel "perseas.elided_undo_bytes" t.st_elided_bytes;
-      Trace.Timeseries.set tel "perseas.coalesced_ranges" t.st_coalesced_ranges;
-      Trace.Timeseries.set tel "perseas.commit_bytes_saved" t.st_commit_saved;
-      Trace.Timeseries.set tel "perseas.committed" t.st_committed;
-      Trace.Timeseries.set tel "perseas.aborts" t.st_aborted;
-      Trace.Timeseries.set tel "perseas.mirrors_lost" t.st_mirrors_lost;
-      Trace.Timeseries.set tel "perseas.resync_bytes" t.st_resync_bytes;
+      Trace.Timeseries.set tel "perseas.elided_undo_bytes" t.st.elided_undo_bytes;
+      Trace.Timeseries.set tel "perseas.coalesced_ranges" t.st.coalesced_ranges;
+      Trace.Timeseries.set tel "perseas.commit_bytes_saved" t.st.commit_bytes_saved;
+      Trace.Timeseries.set tel "perseas.committed" t.st.committed;
+      Trace.Timeseries.set tel "perseas.aborts" t.st.aborts;
+      Trace.Timeseries.set tel "perseas.mirrors_lost" t.st.mirrors_lost;
+      Trace.Timeseries.set tel "perseas.resync_bytes" t.st.resync_bytes;
       Trace.Timeseries.set tel "perseas.degraded_us" (Time.to_ns (degraded_total t) / 1000))
 
 let telemetry t = t.tel
@@ -392,7 +368,7 @@ let retired_count t = Hashtbl.length t.retired
    violations, stale protocol state — is a bug and propagates. *)
 let drop_mirror t m msg =
   retire_mirror t m;
-  t.st_mirrors_lost <- t.st_mirrors_lost + 1;
+  t.st.mirrors_lost <- t.st.mirrors_lost + 1;
   (* Tell the stream a transfer to this node may have been cut short:
      the protocol monitor uses this to close the node's open commit
      unit instead of flagging the interruption as a violation. *)
@@ -427,6 +403,74 @@ let fresh_mirror client ~config =
     m_alive = true;
   }
 
+(* The one constructor.  [epoch] 0 is an engine whose remote database
+   is not yet published ({!init_remote_db} publishes epoch 1); a
+   recovered engine starts at its post-repair epoch, which is also where
+   its dirty log begins.  Metadata staging and the undo log are
+   allocated after the record, in that order. *)
+let make ~config ~cluster ~local_id ~epoch mirrors =
+  let t =
+    {
+      config;
+      cluster;
+      local_id;
+      mirrors;
+      segs = [];
+      meta_local = Mem.Segment.v ~base:0 ~len:1 (* placeholder, set below *);
+      undo_local = Mem.Segment.v ~base:0 ~len:1;
+      epoch;
+      ready = epoch > 0L;
+      open_txns = [];
+      staged = [];
+      next_txn_id = 1;
+      undo_tail = 0;
+      flushing = false;
+      convoy_seq = 0;
+      hook = None;
+      sink = Trace.Sink.noop;
+      tel = Trace.Timeseries.noop;
+      g_undo_tail = Trace.Timeseries.gauge Trace.Timeseries.noop "";
+      g_group_size = Trace.Timeseries.gauge Trace.Timeseries.noop "";
+      repl_target = Array.length mirrors;
+      degraded_since = None;
+      degraded = Time.zero;
+      retired = Hashtbl.create 8;
+      dirty = Queue.create ();
+      dirty_floor = Int64.max 1L epoch;
+      ckpt_target = None;
+      ckpt_inflight = None;
+      ckpt_gen = 0L;
+      ckpt_summary = Imap.empty;
+      ckpt_summary_upto = 0L;
+      st =
+        {
+          begun = 0;
+          committed = 0;
+          aborts = 0;
+          set_ranges = 0;
+          undo_bytes_logged = 0;
+          elided_undo_bytes = 0;
+          undo_hwm_bytes = 0;
+          coalesced_ranges = 0;
+          commit_bytes_saved = 0;
+          local_copy_bytes = 0;
+          mirrors_lost = 0;
+          mirrors_recruited = 0;
+          resync_bytes = 0;
+          degraded_us = 0;
+          conflicts = 0;
+          group_flushes = 0;
+          group_commit_txns = 0;
+          checkpoints_taken = 0;
+          checkpoint_bytes = 0;
+          log_truncated_bytes = 0;
+        };
+    }
+  in
+  t.meta_local <- alloc_local t (meta_size t) "metadata staging";
+  t.undo_local <- alloc_local t config.undo_capacity "undo log";
+  t
+
 let init_replicated ?(config = default_config) clients =
   if clients = [] then invalid_arg "Perseas.init_replicated: at least one mirror required";
   if config.undo_capacity < 4096 then invalid_arg "Perseas.init: undo_capacity too small";
@@ -446,65 +490,8 @@ let init_replicated ?(config = default_config) clients =
   let server_ids = List.map (fun c -> Node.id (Netram.Server.node (Client.server c))) clients in
   if List.length (List.sort_uniq compare server_ids) <> List.length server_ids then
     invalid_arg "Perseas.init: duplicate mirror nodes";
-  let mirrors = Array.of_list (List.map (fun c -> fresh_mirror c ~config) clients) in
-  let t =
-    {
-      config;
-      cluster;
-      local_id;
-      mirrors;
-      segs = [];
-      meta_local = Mem.Segment.v ~base:0 ~len:1 (* placeholder, set below *);
-      undo_local = Mem.Segment.v ~base:0 ~len:1;
-      epoch = 0L;
-      ready = false;
-      open_txns = [];
-      staged = [];
-      next_txn_id = 1;
-      undo_tail = 0;
-      flushing = false;
-      convoy_seq = 0;
-      hook = None;
-      sink = Trace.Sink.noop;
-      tel = Trace.Timeseries.noop;
-      g_undo_tail = Trace.Timeseries.gauge Trace.Timeseries.noop "";
-      g_group_size = Trace.Timeseries.gauge Trace.Timeseries.noop "";
-      repl_target = List.length clients;
-      degraded_since = None;
-      st_degraded = Time.zero;
-      retired = Hashtbl.create 8;
-      dirty = [];
-      dirty_count = 0;
-      dirty_floor = 1L;
-      ckpt_target = None;
-      ckpt_inflight = None;
-      ckpt_gen = 0L;
-      ckpt_summary = Imap.empty;
-      ckpt_summary_upto = 0L;
-      st_ckpts = 0;
-      st_ckpt_bytes = 0;
-      st_log_truncated = 0;
-      st_begun = 0;
-      st_committed = 0;
-      st_aborted = 0;
-      st_set_ranges = 0;
-      st_undo_bytes = 0;
-      st_elided_bytes = 0;
-      st_undo_hwm = 0;
-      st_coalesced_ranges = 0;
-      st_commit_saved = 0;
-      st_local_copy_bytes = 0;
-      st_mirrors_lost = 0;
-      st_mirrors_recruited = 0;
-      st_resync_bytes = 0;
-      st_conflicts = 0;
-      st_group_flushes = 0;
-      st_group_txns = 0;
-    }
-  in
-  t.meta_local <- alloc_local t (meta_size t) "metadata staging";
-  t.undo_local <- alloc_local t config.undo_capacity "undo log";
-  t
+  make ~config ~cluster ~local_id ~epoch:0L
+    (Array.of_list (List.map (fun c -> fresh_mirror c ~config) clients))
 
 let init ?config client = init_replicated ?config [ client ]
 
@@ -548,19 +535,25 @@ let run_plan t plan =
    pre-checkpoint engine. *)
 let tracking t = t.ckpt_target <> None
 
-let write_meta_staging t =
-  let image = local_dram t in
+(* A metadata image: magic, [epoch] and the segment table.  [live]
+   adds the checkpoint-live word and the per-segment modification
+   epochs, which only the mirrors' copy carries. *)
+let meta_image ?(live = false) t epoch =
   let b = Bytes.make (meta_size t) '\000' in
   Layout.write_meta_magic b;
-  Layout.write_epoch b t.epoch;
+  Layout.write_epoch b epoch;
   Layout.write_nsegs b (List.length t.segs);
-  if tracking t then Layout.write_ckpt_live b true;
+  if live then Layout.write_ckpt_live b true;
   List.iter
     (fun s ->
-      let last_mod = if tracking t then s.last_mod else 0L in
+      let last_mod = if live then s.last_mod else 0L in
       Layout.write_table_entry ~last_mod b ~index:s.index ~name:s.seg_name ~size:s.size)
     t.segs;
-  Mem.Image.write_bytes image ~off:(Mem.Segment.base t.meta_local) b
+  b
+
+let write_meta_staging t =
+  Mem.Image.write_bytes (local_dram t) ~off:(Mem.Segment.base t.meta_local)
+    (meta_image ~live:(tracking t) t t.epoch)
 
 let push_meta_to t m =
   run_plan t
@@ -623,16 +616,13 @@ let plan_seg_epoch_write t m seg =
     ~seg_off:(Layout.table_epoch_off ~index:seg.index)
     ~src_off:(seg_epoch_src t ~index:seg.index) ~len:8
 
-let touched_segs t wset =
-  List.rev (Imap.fold (fun index _ acc -> List.find (fun s -> s.index = index) t.segs :: acc) wset [])
+let union_by_seg = Imap.union (fun _ a b -> Some (Iset.union a b))
+let batch_wset batch = List.fold_left (fun acc txn -> union_by_seg acc txn.wset) Imap.empty batch
+let seg_of_index t index = List.find (fun s -> s.index = index) t.segs
 
+(* The segments a batch of transactions touched, in index order. *)
 let batch_touched t batch =
-  let merged =
-    List.fold_left
-      (fun acc txn -> Imap.union (fun _ a b -> Some (Iset.union a b)) acc txn.wset)
-      Imap.empty batch
-  in
-  touched_segs t merged
+  List.rev (Imap.fold (fun index _ acc -> seg_of_index t index :: acc) (batch_wset batch) [])
 
 let begin_transaction ?(client = "default") t =
   if not t.ready then failwith "Perseas.begin_transaction: call init_remote_db first";
@@ -661,7 +651,7 @@ let begin_transaction ?(client = "default") t =
     }
   in
   t.open_txns <- txn :: t.open_txns;
-  t.st_begun <- t.st_begun + 1;
+  t.st.begun <- t.st.begun + 1;
   txn
 
 (* [Doomed] surfaces as the typed [Conflict] the loser would have seen
@@ -718,31 +708,20 @@ let dirty_runs txn =
 (* Record coalesced [(seg_index, off, len)] runs in the dirty log so an
    ex-mirror can later be resynced incrementally.  [tag] is the lowest
    epoch whose confirmation implies a mirror already holds these bytes;
-   entries are kept newest-first and tags never decrease toward the
-   head.  The log is bounded: on overflow the oldest entries are
-   dropped and [dirty_floor] rises to the largest dropped tag,
-   shrinking the window in which incremental resync is possible (older
-   returners get a full copy instead). *)
+   tags never decrease along the queue.  The log is bounded: past
+   [dirty_log_limit] entries the oldest are popped and [dirty_floor]
+   rises to their tag, shrinking the window in which incremental resync
+   is possible (older returners get a full copy instead). *)
+let dirty_log_limit = 4096
+
 let note_dirty t ~tag runs =
   List.iter
     (fun (seg_index, off, len) ->
-      t.dirty <- { d_epoch = tag; d_seg = seg_index; d_off = off; d_len = len } :: t.dirty;
-      t.dirty_count <- t.dirty_count + 1)
+      Queue.push { d_epoch = tag; d_seg = seg_index; d_off = off; d_len = len } t.dirty)
     runs;
-  let limit = t.config.dirty_log_limit in
-  if t.dirty_count > limit then begin
-    let rec take n = function
-      | d :: rest when n > 0 ->
-          let kept, floor = take (n - 1) rest in
-          (d :: kept, floor)
-      | d :: _ -> ([], d.d_epoch)
-      | [] -> ([], t.dirty_floor)
-    in
-    let kept, floor = take limit t.dirty in
-    t.dirty <- kept;
-    t.dirty_count <- limit;
-    if floor > t.dirty_floor then t.dirty_floor <- floor
-  end
+  while Queue.length t.dirty > dirty_log_limit do
+    t.dirty_floor <- Int64.max t.dirty_floor (Queue.pop t.dirty).d_epoch
+  done
 
 (* Restore every declared range from the local undo log, newest first
    (local memory copies only). *)
@@ -770,7 +749,7 @@ let guard_mirror_loss txn f =
   with All_mirrors_lost ->
     let t = txn.owner in
     traced t ~name:"abort" ~args:[ ("reason", "all_mirrors_lost") ] (fun () -> rollback_local txn);
-    t.st_aborted <- t.st_aborted + 1;
+    t.st.aborts <- t.st.aborts + 1;
     close txn;
     Log.warn (fun k ->
         k "all mirrors lost mid-%s: transaction rolled back locally; attach a fresh mirror"
@@ -790,6 +769,109 @@ let guard_mirror_loss txn f =
 let undo_slot_of t =
   if t.config.group_commit <= 1 then Layout.undo_slot else Layout.undo_slot_packed
 
+(* The data propagation list for a batch of transactions: the
+   per-segment union of their write-sets — adjacent and overlapping
+   declarations merged into maximal runs — and, under
+   [optimized_memcpy], runs whose 64-byte SCI line spans touch glued
+   into one exact hull so they stream as a single fuller burst.
+   Shipping a hull's gap bytes is safe for the same reason the
+   NIC-level widening is: bytes outside the written ranges are
+   identical on both sides, and recovery's undo replay restores any
+   early-propagated declared byte.  Batch members are line-disjoint by
+   the conflict rules, so a cross-transaction hull never ships a byte an
+   open transaction has dirtied. *)
+let batch_data_runs t batch =
+  List.rev
+    (Imap.fold
+       (fun index iset acc ->
+         let seg = seg_of_index t index in
+         let iset = if t.config.optimized_memcpy then Iset.glue iset ~align:64 else iset in
+         List.fold_left (fun acc (off, len) -> (seg, off, len) :: acc) acc (Iset.intervals iset))
+       (batch_wset batch) [])
+
+(* One commit's propagation list: with elision, the one-transaction
+   batch; without, the raw declared ranges, oldest first — the
+   differential-testing oracle. *)
+let commit_runs txn =
+  let t = txn.owner in
+  if t.config.redundancy_elision then batch_data_runs t [ txn ]
+  else List.rev_map (fun r -> (r.r_seg, r.r_off, r.r_len)) txn.ranges
+
+let plans_for t runs i m =
+  List.map
+    (fun (seg, off, len) ->
+      Client.plan_write m.m_client ~widen:t.config.optimized_memcpy seg.remotes.(i) ~seg_off:off
+        ~src_off:(Mem.Segment.base seg.local + off) ~len)
+    runs
+
+(* A logged record, header and payload, pushed to the same slot of a
+   mirror's undo log. *)
+let plan_undo t m r =
+  let slot = r.staging_off - Layout.undo_header_size in
+  Client.plan_write m.m_client ~widen:t.config.optimized_memcpy m.m_undo ~seg_off:slot
+    ~src_off:(Mem.Segment.base t.undo_local + slot)
+    ~len:(Layout.undo_header_size + r.r_len)
+
+(* The eager protocol's remote phases (Figure 3, steps 2 and 3): undo
+   records to the remote logs, then at commit the data propagation, the
+   segment-epoch column stores (tracking mode only) and the epoch fence.
+   [commit] runs these plans and [commit_packets] counts the same ones,
+   so the two cannot drift. *)
+type eager_phase =
+  | Undo of range list
+  | Propagate of (segment * int * int) list
+  | Segmeta of segment list
+  | Fence
+
+let phase_plans t phase i m =
+  match phase with
+  | Undo recs -> List.map (plan_undo t m) recs
+  | Propagate runs -> plans_for t runs i m
+  | Segmeta segs -> List.map (plan_seg_epoch_write t m) segs
+  | Fence -> [ plan_epoch_write t m ]
+
+(* The commit unit: records whose epoch tag went stale while concurrent
+   peers committed are re-pushed whole (a joiner recruited
+   mid-transaction has no payload for them yet, so a header-only push
+   would leave its log torn); sequentially tags are always current and
+   that phase is absent. *)
+let commit_phases txn =
+  let t = txn.owner in
+  let stale = List.filter (fun r -> r.r_tag <> t.epoch) txn.ranges in
+  (if stale = [] then [] else [ Undo stale ])
+  @ [ Propagate (commit_runs txn) ]
+  @ (if tracking t then [ Segmeta (batch_touched t [ txn ]) ] else [])
+  @ [ Fence ]
+
+(* Run one phase on every live mirror, one span per mirror.  The commit
+   phases to one node form one "convoy" (key [t<id>]) as far as the
+   causal ordering invariants go. *)
+let run_phase txn phase =
+  let t = txn.owner in
+  let id = string_of_int txn.t_id in
+  let op =
+    match phase with
+    | Undo _ -> "remote_undo"
+    | Propagate _ -> "commit_propagate"
+    | Segmeta _ -> "commit_segmeta"
+    | Fence -> "commit_fence"
+  in
+  each_live_mirror t (fun i m ->
+      traced t ~name:op ~args:[ ("mirror", string_of_int i) ] (fun () ->
+          with_ctx t
+            (fun () ->
+              let convoy = match phase with Undo _ -> [] | _ -> [ ("convoy", "t" ^ id) ] in
+              let epoch =
+                match phase with
+                | Fence -> [ ("epoch", Int64.to_string (Int64.add t.epoch 1L)) ]
+                | _ -> []
+              in
+              [ ("op", op); ("txn", id) ]
+              @ convoy
+              @ [ ("mirror", string_of_int i); ("node", string_of_int (mirror_node_id m)) ]
+              @ epoch)
+            (fun () -> List.iter (run_plan t) (phase_plans t phase i m))))
+
 (* Append one undo record — the before-image of [seg[off, off+len)] —
    to the local log and push it to every remote log (Figure 3, steps 1
    and 2).  The caller has already reserved the log space. *)
@@ -798,6 +880,9 @@ let log_undo_record txn seg ~off ~len =
   let record_len = Layout.undo_header_size + len in
   let image = local_dram t in
   let slot = t.undo_tail in
+  let r =
+    { r_seg = seg; r_off = off; r_len = len; staging_off = slot + Layout.undo_header_size; r_tag = t.epoch }
+  in
   traced t ~name:"local_undo" (fun () ->
       let payload = Mem.Image.read_bytes image ~off:(Mem.Segment.base seg.local + off) ~len in
       let record =
@@ -809,65 +894,14 @@ let log_undo_record txn seg ~off ~len =
      (Figure 3, step 2).  Group mode defers: the whole live log ships
      as one convoy per mirror at flush time, so full packets and the
      burst startup amortise across the batch. *)
-  if t.config.group_commit <= 1 then
-    guard_mirror_loss txn (fun () ->
-        each_live_mirror t (fun i m ->
-            traced t ~name:"remote_undo" ~args:[ ("mirror", string_of_int i) ] (fun () ->
-                with_ctx t
-                  (fun () ->
-                    [
-                      ("op", "remote_undo");
-                      ("txn", string_of_int txn.t_id);
-                      ("mirror", string_of_int i);
-                      ("node", string_of_int (mirror_node_id m));
-                    ])
-                  (fun () ->
-                    run_plan t
-                      (Client.plan_write m.m_client ~widen:t.config.optimized_memcpy m.m_undo
-                         ~seg_off:slot ~src_off:(Mem.Segment.base t.undo_local + slot)
-                         ~len:record_len)))));
-  txn.ranges <-
-    { r_seg = seg; r_off = off; r_len = len; staging_off = slot + Layout.undo_header_size; r_tag = t.epoch }
-    :: txn.ranges;
+  if t.config.group_commit <= 1 then guard_mirror_loss txn (fun () -> run_phase txn (Undo [ r ]));
+  txn.ranges <- r :: txn.ranges;
   t.undo_tail <- undo_slot_of t ~off:slot ~payload_len:len;
-  if t.undo_tail > t.st_undo_hwm then t.st_undo_hwm <- t.undo_tail;
-  t.st_undo_bytes <- t.st_undo_bytes + len
-
-(* The propagation list for one commit: with elision, the write-set's
-   maximal contiguous runs — adjacent and overlapping declarations
-   merged — and, under [optimized_memcpy], runs whose 64-byte SCI line
-   spans touch glued into one exact hull so they stream as a single
-   fuller burst.  Shipping a hull's gap bytes is safe for the same
-   reason the NIC-level widening is: bytes outside the written ranges
-   are identical on both sides, and recovery's undo replay restores any
-   early-propagated declared byte.  Without elision, the raw declared
-   ranges, oldest first — the differential-testing oracle.  Built once
-   per commit and shared by every mirror and by [commit_packets]'s dry
-   run. *)
-let commit_runs txn =
-  let t = txn.owner in
-  if not t.config.redundancy_elision then
-    List.rev_map (fun r -> (r.r_seg, r.r_off, r.r_len)) txn.ranges
-  else
-    List.rev
-      (Imap.fold
-         (fun index iset acc ->
-           let seg = List.find (fun s -> s.index = index) t.segs in
-           let iset = if t.config.optimized_memcpy then Iset.glue iset ~align:64 else iset in
-           List.fold_left (fun acc (off, len) -> (seg, off, len) :: acc) acc (Iset.intervals iset))
-         txn.wset [])
-
-let plans_for t runs i m =
-  List.map
-    (fun (seg, off, len) ->
-      Client.plan_write m.m_client ~widen:t.config.optimized_memcpy seg.remotes.(i) ~seg_off:off
-        ~src_off:(Mem.Segment.base seg.local + off) ~len)
-    runs
+  if t.undo_tail > t.st.undo_hwm_bytes then t.st.undo_hwm_bytes <- t.undo_tail;
+  t.st.undo_bytes_logged <- t.st.undo_bytes_logged + len
 
 (* Run [f] with [e] staged as the epoch word, restoring the previous
-   staging afterwards (even on a crash or mirror loss mid-[f]).  Both
-   [commit]'s fence and [commit_packets]'s dry run go through here, so
-   the two cannot drift. *)
+   staging afterwards (even on a crash or mirror loss mid-[f]). *)
 let with_staged_epoch t e f =
   let image = local_dram t in
   let addr = Mem.Segment.base t.meta_local + Layout.epoch_offset in
@@ -945,59 +979,49 @@ let flush_undo_chunks batch =
    fence strictly last) is preserved while the burst set-up and the
    Full64 stream warm-up are paid once per mirror instead of three
    times.  The fence chunk ships the staged epoch word, so the caller
-   must run the plan under [with_staged_epoch]. *)
-let flush_convoy_chunks t ~undo_chunks ~runs ~metasegs i m =
-  List.map
-    (fun (dst, src, len) ->
-      ("undo", t.config.optimized_memcpy, m.m_undo, dst, Mem.Segment.base t.undo_local + src, len))
-    undo_chunks
-  @ List.map
-      (fun (seg, off, len) ->
-        ( "data",
-          t.config.optimized_memcpy,
-          seg.remotes.(i),
-          off,
-          Mem.Segment.base seg.local + off,
-          len ))
-      runs
-  (* Tracking mode rides the batch's segment-epoch column updates in
-     the same convoy, after the data and before the fence — the
-     convoy stays one burst and the fence stays strictly last. *)
-  @ List.map
-      (fun seg ->
-        ( "segmeta",
+   must run the plan under [with_staged_epoch].  Returns the segments
+   whose epoch column rides along, and the plan for mirror [i]: [flush]
+   runs it and [flush_step_count] counts it. *)
+let flush_convoy t batch =
+  let undo_chunks = flush_undo_chunks batch in
+  let runs = batch_data_runs t batch in
+  let metasegs = if tracking t then batch_touched t batch else [] in
+  let chunks i m =
+    List.map
+      (fun (dst, src, len) ->
+        ("undo", t.config.optimized_memcpy, m.m_undo, dst, Mem.Segment.base t.undo_local + src, len))
+      undo_chunks
+    @ List.map
+        (fun (seg, off, len) ->
+          ( "data",
+            t.config.optimized_memcpy,
+            seg.remotes.(i),
+            off,
+            Mem.Segment.base seg.local + off,
+            len ))
+        runs
+    (* Tracking mode rides the batch's segment-epoch column updates in
+       the same convoy, after the data and before the fence — the
+       convoy stays one burst and the fence stays strictly last. *)
+    @ List.map
+        (fun seg ->
+          ( "segmeta",
+            false,
+            m.m_meta,
+            Layout.table_epoch_off ~index:seg.index,
+            seg_epoch_src t ~index:seg.index,
+            8 ))
+        metasegs
+    @ [
+        ( "fence",
           false,
           m.m_meta,
-          Layout.table_epoch_off ~index:seg.index,
-          seg_epoch_src t ~index:seg.index,
-          8 ))
-      metasegs
-  @ [
-      ( "fence",
-        false,
-        m.m_meta,
-        Layout.epoch_offset,
-        Mem.Segment.base t.meta_local + Layout.epoch_offset,
-        8 );
-    ]
-
-(* The batch's data propagation list: the per-segment union of every
-   staged write-set, glued like a single commit's runs.  Batch members
-   are line-disjoint by the conflict rules, so a cross-transaction hull
-   never ships a byte an open transaction has dirtied. *)
-let batch_data_runs t batch =
-  let merged =
-    List.fold_left
-      (fun acc txn -> Imap.union (fun _ a b -> Some (Iset.union a b)) acc txn.wset)
-      Imap.empty batch
+          Layout.epoch_offset,
+          Mem.Segment.base t.meta_local + Layout.epoch_offset,
+          8 );
+      ]
   in
-  List.rev
-    (Imap.fold
-       (fun index iset acc ->
-         let seg = List.find (fun s -> s.index = index) t.segs in
-         let iset = if t.config.optimized_memcpy then Iset.glue iset ~align:64 else iset in
-         List.fold_left (fun acc (off, len) -> (seg, off, len) :: acc) acc (Iset.intervals iset))
-       merged [])
+  (metasegs, fun i m -> Client.plan_convoy m.m_client (chunks i m))
 
 (* Overflow relief: flushed transactions leave dead records interleaved
    with the open transactions' live ones, and the tail only resets when
@@ -1047,9 +1071,7 @@ let flush t =
     let batch = t.staged in
     let n = List.length batch in
     List.iter (fun txn -> retag_records t txn) batch;
-    let undo_chunks = flush_undo_chunks batch in
-    let runs = batch_data_runs t batch in
-    let metasegs = if tracking t then batch_touched t batch else [] in
+    let metasegs, plan = flush_convoy t batch in
     if metasegs <> [] then stage_seg_epochs t (Int64.add t.epoch 1L) metasegs;
     t.convoy_seq <- t.convoy_seq + 1;
     let convoy_key = "c" ^ string_of_int t.convoy_seq in
@@ -1070,10 +1092,7 @@ let flush t =
                          ("node", string_of_int (mirror_node_id m));
                          ("epoch", Int64.to_string (Int64.add t.epoch 1L));
                        ])
-                     (fun () ->
-                       run_plan t
-                         (Client.plan_convoy m.m_client
-                            (flush_convoy_chunks t ~undo_chunks ~runs ~metasegs i m))))))
+                     (fun () -> run_plan t (plan i m)))))
      with All_mirrors_lost ->
        (* No fence landed anywhere: the batch is not durable.  Roll
           every staged transaction back locally; byte overlap between
@@ -1084,16 +1103,16 @@ let flush t =
            traced t ~name:"abort" ~args:[ ("reason", "all_mirrors_lost") ] (fun () ->
                rollback_local txn))
          (List.rev batch);
-       t.st_aborted <- t.st_aborted + n;
+       t.st.aborts <- t.st.aborts + n;
        t.staged <- [];
        List.iter close batch;
        Log.warn (fun k -> k "all mirrors lost mid-flush: %d staged transaction(s) rolled back" n);
        raise All_mirrors_lost);
     t.epoch <- Int64.add t.epoch 1L;
     List.iter (fun txn -> note_dirty t ~tag:t.epoch (dirty_runs txn)) batch;
-    t.st_committed <- t.st_committed + n;
-    t.st_group_flushes <- t.st_group_flushes + 1;
-    t.st_group_txns <- t.st_group_txns + n;
+    t.st.committed <- t.st.committed + n;
+    t.st.group_flushes <- t.st.group_flushes + 1;
+    t.st.group_commit_txns <- t.st.group_commit_txns + n;
     Trace.Gauge.set t.g_group_size n;
     t.staged <- [];
     List.iter close batch
@@ -1147,8 +1166,8 @@ let set_range txn seg ~off ~len =
   | Some older ->
       (* The declarer is the younger party: roll it back and surface
          the typed conflict to its client for a retry. *)
-      t.st_conflicts <- t.st_conflicts + 1;
-      t.st_aborted <- t.st_aborted + 1;
+      t.st.conflicts <- t.st.conflicts + 1;
+      t.st.aborts <- t.st.aborts + 1;
       traced t ~name:"abort"
         ~args:[ ("reason", "conflict"); ("txn", string_of_int txn.t_id) ]
         (fun () -> rollback_local txn);
@@ -1160,8 +1179,8 @@ let set_range txn seg ~off ~len =
          the loser learn of it at its next library call. *)
       List.iter
         (fun victim ->
-          t.st_conflicts <- t.st_conflicts + 1;
-          t.st_aborted <- t.st_aborted + 1;
+          t.st.conflicts <- t.st.conflicts + 1;
+          t.st.aborts <- t.st.aborts + 1;
           traced t ~name:"abort"
             ~args:[ ("reason", "conflict"); ("txn", string_of_int victim.t_id) ]
             (fun () -> rollback_local victim);
@@ -1200,42 +1219,9 @@ let set_range txn seg ~off ~len =
   txn.wset <- Imap.add seg.index (Iset.add prior ~off ~len) txn.wset;
   txn.declared <- txn.declared + 1;
   txn.declared_bytes <- txn.declared_bytes + len;
-  t.st_set_ranges <- t.st_set_ranges + 1;
-  t.st_elided_bytes <-
-    t.st_elided_bytes + (len - List.fold_left (fun acc (_, flen) -> acc + flen) 0 fragments)
-
-(* Eager-mode retag: records already pushed to the remote logs may
-   carry a stale epoch tag when concurrent peers bumped the epoch since
-   they were cut.  Rewrite them locally and re-push the full records —
-   a joiner recruited mid-transaction has no payload for them yet, so
-   a header-only push would leave its log torn.  Sequentially the tags
-   are always current and this is a no-op, packet for packet. *)
-let repush_stale txn =
-  let t = txn.owner in
-  let stale = List.filter (fun r -> r.r_tag <> t.epoch) txn.ranges in
-  if stale <> [] then begin
-    retag_records t txn;
-    guard_mirror_loss txn (fun () ->
-        each_live_mirror t (fun i m ->
-            traced t ~name:"remote_undo" ~args:[ ("mirror", string_of_int i) ] (fun () ->
-                with_ctx t
-                  (fun () ->
-                    [
-                      ("op", "remote_undo");
-                      ("txn", string_of_int txn.t_id);
-                      ("mirror", string_of_int i);
-                      ("node", string_of_int (mirror_node_id m));
-                    ])
-                  (fun () ->
-                    List.iter
-                      (fun r ->
-                        let slot = r.staging_off - Layout.undo_header_size in
-                        run_plan t
-                          (Client.plan_write m.m_client ~widen:t.config.optimized_memcpy m.m_undo
-                             ~seg_off:slot ~src_off:(Mem.Segment.base t.undo_local + slot)
-                             ~len:(Layout.undo_header_size + r.r_len)))
-                      stale))))
-  end
+  t.st.set_ranges <- t.st.set_ranges + 1;
+  t.st.elided_undo_bytes <-
+    t.st.elided_undo_bytes + (len - List.fold_left (fun acc (_, flen) -> acc + flen) 0 fragments)
 
 let commit txn =
   check_open txn "commit";
@@ -1245,50 +1231,30 @@ let commit txn =
   if t.config.redundancy_elision then begin
     let wset_total = Imap.fold (fun _ iset acc -> acc + Iset.total iset) txn.wset 0 in
     let runs_now = List.length (commit_runs txn) in
-    t.st_coalesced_ranges <- t.st_coalesced_ranges + max 0 (txn.declared - runs_now);
-    t.st_commit_saved <- t.st_commit_saved + max 0 (txn.declared_bytes - wset_total)
+    t.st.coalesced_ranges <- t.st.coalesced_ranges + max 0 (txn.declared - runs_now);
+    t.st.commit_bytes_saved <- t.st.commit_bytes_saved + max 0 (txn.declared_bytes - wset_total)
   end;
   if t.config.group_commit <= 1 then begin
     (* Figure 3, step 3: propagate updated ranges to every mirror, then
        bump the epoch everywhere — the per-mirror single-packet commit
        point. *)
-    let runs = commit_runs txn in
-    (* Causal tags for the commit unit: the eager propagate / segmeta /
-       fence burst to one node is one "convoy" (key [t<id>]) as far as
-       the ordering invariants go. *)
-    let unit_ctx op ?epoch i m () =
-      [
-        ("op", op);
-        ("txn", string_of_int txn.t_id);
-        ("convoy", "t" ^ string_of_int txn.t_id);
-        ("mirror", string_of_int i);
-        ("node", string_of_int (mirror_node_id m));
-      ]
-      @ match epoch with Some e -> [ ("epoch", Int64.to_string e) ] | None -> []
-    in
-    repush_stale txn;
+    let e = Int64.add t.epoch 1L in
     guard_mirror_loss txn (fun () ->
-        each_live_mirror t (fun i m ->
-            traced t ~name:"commit_propagate" ~args:[ ("mirror", string_of_int i) ] (fun () ->
-                with_ctx t (unit_ctx "commit_propagate" i m) (fun () ->
-                    List.iter (run_plan t) (plans_for t runs i m))));
-        (if tracking t then begin
-           let segs = touched_segs t txn.wset in
-           stage_seg_epochs t (Int64.add t.epoch 1L) segs;
-           each_live_mirror t (fun i m ->
-               traced t ~name:"commit_segmeta" ~args:[ ("mirror", string_of_int i) ] (fun () ->
-                   with_ctx t (unit_ctx "commit_segmeta" i m) (fun () ->
-                       List.iter (fun seg -> run_plan t (plan_seg_epoch_write t m seg)) segs)))
-         end);
-        with_staged_epoch t (Int64.add t.epoch 1L) (fun () ->
-            each_live_mirror t (fun i m ->
-                traced t ~name:"commit_fence" ~args:[ ("mirror", string_of_int i) ] (fun () ->
-                    with_ctx t
-                      (unit_ctx "commit_fence" ~epoch:(Int64.add t.epoch 1L) i m)
-                      (fun () -> run_plan t (plan_epoch_write t m))))));
+        List.iter
+          (fun phase ->
+            match phase with
+            | Undo _ ->
+                retag_records t txn;
+                run_phase txn phase
+            | Propagate _ -> run_phase txn phase
+            | Segmeta segs ->
+                stage_seg_epochs t e segs;
+                run_phase txn phase
+            | Fence -> with_staged_epoch t e (fun () -> run_phase txn phase))
+          (commit_phases txn));
     t.epoch <- Int64.add t.epoch 1L;
     note_dirty t ~tag:t.epoch (dirty_runs txn);
-    t.st_committed <- t.st_committed + 1;
+    t.st.committed <- t.st.committed + 1;
     close txn
   end
   else begin
@@ -1301,6 +1267,18 @@ let commit txn =
     if List.length t.staged >= t.config.group_commit then flush t
   end
 
+(* Packets the plans [f i m] would put on the wire, summed over the
+   live mirrors.  Plans are pure functions of offsets and lengths, so
+   a dry run moves nothing. *)
+let dry_run t f =
+  let count = ref 0 in
+  Array.iteri
+    (fun i m ->
+      if m.m_alive then
+        List.iter (fun plan -> count := !count + List.length (Sci.Nic.plan_steps plan)) (f i m))
+    t.mirrors;
+  !count
+
 (* How many flush packets the queue [batch] would cost right now: one
    merged convoy per mirror (packed undo chain, merged data runs,
    fence).  An empty batch flushes nothing and costs nothing.  The
@@ -1310,57 +1288,15 @@ let flush_step_count t batch =
   match batch with
   | [] -> 0
   | _ :: _ ->
-      let runs = batch_data_runs t batch in
-      let undo_chunks = flush_undo_chunks batch in
-      let metasegs = if tracking t then batch_touched t batch else [] in
-      let count = ref 0 in
-      Array.iteri
-        (fun i m ->
-          if m.m_alive then
-            count :=
-              !count
-              + List.length
-                  (Sci.Nic.plan_steps
-                     (Client.plan_convoy m.m_client
-                        (flush_convoy_chunks t ~undo_chunks ~runs ~metasegs i m))))
-        t.mirrors;
-      !count
+      let _, plan = flush_convoy t batch in
+      dry_run t (fun i m -> [ plan i m ])
 
 let commit_packets txn =
   check_open txn "commit_packets";
   let t = txn.owner in
-  if t.config.group_commit <= 1 then begin
-    let runs = commit_runs txn in
-    let stale = List.filter (fun r -> r.r_tag <> t.epoch) txn.ranges in
-    with_staged_epoch t (Int64.add t.epoch 1L) (fun () ->
-        let count = ref 0 in
-        Array.iteri
-          (fun i m ->
-            if m.m_alive then begin
-              List.iter
-                (fun r ->
-                  let slot = r.staging_off - Layout.undo_header_size in
-                  count :=
-                    !count
-                    + List.length
-                        (Sci.Nic.plan_steps
-                           (Client.plan_write m.m_client ~widen:t.config.optimized_memcpy m.m_undo
-                              ~seg_off:slot ~src_off:(Mem.Segment.base t.undo_local + slot)
-                              ~len:(Layout.undo_header_size + r.r_len))))
-                stale;
-              List.iter
-                (fun plan -> count := !count + List.length (Sci.Nic.plan_steps plan))
-                (plans_for t runs i m);
-              if tracking t then
-                List.iter
-                  (fun seg ->
-                    count := !count + List.length (Sci.Nic.plan_steps (plan_seg_epoch_write t m seg)))
-                  (touched_segs t txn.wset);
-              count := !count + List.length (Sci.Nic.plan_steps (plan_epoch_write t m))
-            end)
-          t.mirrors;
-        !count)
-  end
+  if t.config.group_commit <= 1 then
+    let phases = commit_phases txn in
+    dry_run t (fun i m -> List.concat_map (fun phase -> phase_plans t phase i m) phases)
   else
     (* The transaction's MARGINAL packets: what the flush costs with it
        staged, minus what the already-staged queue costs alone — the
@@ -1382,7 +1318,7 @@ let abort txn =
       let t = txn.owner in
       traced t ~name:"abort" ~args:[ ("txn", string_of_int txn.t_id) ] (fun () ->
           rollback_local txn);
-      t.st_aborted <- t.st_aborted + 1;
+      t.st.aborts <- t.st.aborts + 1;
       close txn
 
 (* O(log n) on the coalesced index — and deliberately a touch more
@@ -1466,29 +1402,7 @@ let validate txn = match txn.state with Doomed -> check_open txn "validate" | _ 
 let open_txn_count t = List.length t.open_txns
 let staged_count t = List.length t.staged
 
-let stats t =
-  {
-    begun = t.st_begun;
-    committed = t.st_committed;
-    aborts = t.st_aborted;
-    set_ranges = t.st_set_ranges;
-    undo_bytes_logged = t.st_undo_bytes;
-    elided_undo_bytes = t.st_elided_bytes;
-    undo_hwm_bytes = t.st_undo_hwm;
-    coalesced_ranges = t.st_coalesced_ranges;
-    commit_bytes_saved = t.st_commit_saved;
-    local_copy_bytes = t.st_local_copy_bytes;
-    mirrors_lost = t.st_mirrors_lost;
-    mirrors_recruited = t.st_mirrors_recruited;
-    resync_bytes = t.st_resync_bytes;
-    degraded_us = Time.to_ns (degraded_total t) / 1000;
-    conflicts = t.st_conflicts;
-    group_flushes = t.st_group_flushes;
-    group_commit_txns = t.st_group_txns;
-    checkpoints_taken = t.st_ckpts;
-    checkpoint_bytes = t.st_ckpt_bytes;
-    log_truncated_bytes = t.st_log_truncated;
-  }
+let stats t = { t.st with degraded_us = Time.to_ns (degraded_total t) / 1000 }
 
 let stats_fields (s : stats) =
   [
@@ -1612,53 +1526,22 @@ let incremental_handles t client ~since =
   in
   (meta, undo, handles)
 
+let add_dirty acc d =
+  let prev = Option.value (Imap.find_opt d.d_seg acc) ~default:Iset.empty in
+  Imap.add d.d_seg (Iset.add prev ~off:d.d_off ~len:d.d_len) acc
+
 (* The ranges a mirror retired at epoch [since] is missing: every dirty
    entry tagged later than [since], coalesced per segment (overlaps and
-   adjacent runs merged) so each byte is copied at most once. *)
+   adjacent runs merged) so each byte is copied at most once.  When the
+   request predates the last checkpoint's truncation, the summary of the
+   truncated entries seeds the union: a superset of what the full log
+   would have returned — conservative over-copy, never a missed byte. *)
 let ranges_since t ~since =
-  if Imap.is_empty t.ckpt_summary || since >= t.ckpt_summary_upto then
-    (* No truncated prefix overlaps the request — the plain walk, kept
-       byte-identical to the pre-checkpoint engine. *)
-    let rec take acc = function
-      | d :: rest when d.d_epoch > since -> take (d :: acc) rest
-      | _ -> acc
-    in
-    let needed = take [] t.dirty in
-    let by_seg = Hashtbl.create 8 in
-    List.iter
-      (fun d ->
-        let prev = Option.value (Hashtbl.find_opt by_seg d.d_seg) ~default:[] in
-        Hashtbl.replace by_seg d.d_seg ((d.d_off, d.d_len) :: prev))
-      needed;
-    Hashtbl.fold
-      (fun seg_index ranges acc ->
-        let merged =
-          List.fold_left
-            (fun acc (off, len) ->
-              match acc with
-              | (o, l) :: rest when off <= o + l -> (o, max l (off + len - o)) :: rest
-              | _ -> (off, len) :: acc)
-            []
-            (List.sort compare ranges)
-        in
-        (seg_index, List.rev merged) :: acc)
-      by_seg []
-  else
-    (* A checkpoint truncated entries the caller may be missing.  The
-       summary is the union of everything truncated, so summary plus
-       the surviving entries newer than [since] is a superset of what
-       the full log would have returned — conservative over-copy, never
-       a missed byte. *)
-    let add acc d =
-      let prev = Option.value (Imap.find_opt d.d_seg acc) ~default:Iset.empty in
-      Imap.add d.d_seg (Iset.add prev ~off:d.d_off ~len:d.d_len) acc
-    in
-    let rec take acc = function
-      | d :: rest when d.d_epoch > since -> take (add acc d) rest
-      | _ -> acc
-    in
-    let merged = take t.ckpt_summary t.dirty in
-    List.rev (Imap.fold (fun seg_index iset acc -> (seg_index, Iset.intervals iset) :: acc) merged [])
+  let seed = if since < t.ckpt_summary_upto then t.ckpt_summary else Imap.empty in
+  let merged =
+    Queue.fold (fun acc d -> if d.d_epoch > since then add_dirty acc d else acc) seed t.dirty
+  in
+  List.rev (Imap.fold (fun seg_index iset acc -> (seg_index, Iset.intervals iset) :: acc) merged [])
 
 let do_attach ~op ~allow_incremental t ~server =
   (* Membership changes no longer wait for "no open transaction" —
@@ -1708,7 +1591,7 @@ let do_attach ~op ~allow_incremental t ~server =
           let copied = ref 0 in
           List.iter
             (fun (seg_index, ranges) ->
-              let seg = List.find (fun seg -> seg.index = seg_index) t.segs in
+              let seg = seg_of_index t seg_index in
               List.iter
                 (fun (off, len) ->
                   run_plan t
@@ -1770,8 +1653,8 @@ let do_attach ~op ~allow_incremental t ~server =
          mirror) can never be replayed against the fresh copy. *)
       t.epoch <- Int64.add t.epoch 1L;
       push_meta t;
-      t.st_mirrors_recruited <- t.st_mirrors_recruited + 1;
-      t.st_resync_bytes <- t.st_resync_bytes + report.bytes_copied
+      t.st.mirrors_recruited <- t.st.mirrors_recruited + 1;
+      t.st.resync_bytes <- t.st.resync_bytes + report.bytes_copied
     end;
     note_replication t;
     report
@@ -1929,13 +1812,7 @@ module Checkpoint = struct
      generation published or the new one — never a torn mix. *)
   let publish t tg p ~cut =
     let msize = meta_size t in
-    let b = Bytes.make msize '\000' in
-    Layout.write_meta_magic b;
-    Layout.write_epoch b cut;
-    Layout.write_nsegs b (List.length t.segs);
-    List.iter
-      (fun s -> Layout.write_table_entry b ~index:s.index ~name:s.seg_name ~size:s.size)
-      t.segs;
+    let b = meta_image t cut in
     match tg with
     | Ram_target r ->
         let image = local_dram t in
@@ -1962,10 +1839,22 @@ module Checkpoint = struct
         Bytes.set_int64_le dir 0 p.p_gen;
         disk_write t device ~off:0 dir
 
-  let set_ram_target t ~server =
-    if not t.ready then failwith "Perseas.Checkpoint.set_ram_target: call init_remote_db first";
+  let check_settable t op =
+    if not t.ready then
+      failwith (Printf.sprintf "Perseas.Checkpoint.%s: call init_remote_db first" op);
     if t.ckpt_inflight <> None then
-      failwith "Perseas.Checkpoint.set_ram_target: checkpoint in flight";
+      failwith (Printf.sprintf "Perseas.Checkpoint.%s: checkpoint in flight" op)
+
+  (* From here commit propagation maintains the metadata epoch
+     columns: seed them and flip the live word on every mirror. *)
+  let install_target t tg =
+    t.ckpt_target <- Some tg;
+    t.ckpt_gen <- 0L;
+    List.iter (fun seg -> seg.last_mod <- t.epoch) t.segs;
+    push_meta t
+
+  let set_ram_target t ~server =
+    check_settable t "set_ram_target";
     let node_id = Node.id (Netram.Server.node server) in
     (* A target sharing the primary's node would checkpoint RAM into the
        very failure domain it protects — and, after a recovery that
@@ -1973,38 +1862,33 @@ module Checkpoint = struct
     if node_id = t.local_id then
       invalid_arg "Perseas.Checkpoint.set_ram_target: target must live on a remote node";
     let client = Client.create ~cluster:t.cluster ~local:t.local_id ~server in
-    (try
-       let _, slot_size = seg_offsets t in
-       let dir =
-         connect_or_export client
-           ~name:(Layout.ckpt_dir_name ~ns:t.config.namespace)
-           ~size:Layout.ckpt_dir_size
-       in
-       let slots =
-         Array.init 2 (fun slot ->
-             connect_or_export client
-               ~name:(Layout.ckpt_slot_name ~ns:t.config.namespace ~slot)
-               ~size:slot_size)
-       in
-       (* This engine starts from generation 0: invalidate any stale
-          directory a previous incarnation left behind. *)
-       Client.write_u64 client dir ~seg_off:0 0L;
-       let scratch = alloc_local t (meta_size t) "checkpoint staging" in
-       t.ckpt_target <-
-         Some (Ram_target { c_client = client; c_dir = dir; c_slots = slots; c_scratch = scratch });
-       t.ckpt_gen <- 0L
-     with Client.Unreachable msg ->
-       t.ckpt_target <- None;
-       raise (Target_lost msg));
-    (* From here commit propagation maintains the metadata epoch
-       columns: seed them and flip the live word on every mirror. *)
-    List.iter (fun seg -> seg.last_mod <- t.epoch) t.segs;
-    push_meta t
+    let tg =
+      try
+        let _, slot_size = seg_offsets t in
+        let dir =
+          connect_or_export client
+            ~name:(Layout.ckpt_dir_name ~ns:t.config.namespace)
+            ~size:Layout.ckpt_dir_size
+        in
+        let slots =
+          Array.init 2 (fun slot ->
+              connect_or_export client
+                ~name:(Layout.ckpt_slot_name ~ns:t.config.namespace ~slot)
+                ~size:slot_size)
+        in
+        (* This engine starts from generation 0: invalidate any stale
+           directory a previous incarnation left behind. *)
+        Client.write_u64 client dir ~seg_off:0 0L;
+        let scratch = alloc_local t (meta_size t) "checkpoint staging" in
+        Ram_target { c_client = client; c_dir = dir; c_slots = slots; c_scratch = scratch }
+      with Client.Unreachable msg ->
+        t.ckpt_target <- None;
+        raise (Target_lost msg)
+    in
+    install_target t tg
 
   let set_disk_target t ~device =
-    if not t.ready then failwith "Perseas.Checkpoint.set_disk_target: call init_remote_db first";
-    if t.ckpt_inflight <> None then
-      failwith "Perseas.Checkpoint.set_disk_target: checkpoint in flight";
+    check_settable t "set_disk_target";
     let _, slot_size = seg_offsets t in
     let need = Layout.ckpt_dir_size + (2 * slot_size) in
     if Disk.Device.capacity device < need then
@@ -2014,10 +1898,7 @@ module Checkpoint = struct
     let dir = Bytes.make Layout.ckpt_dir_size '\000' in
     Bytes.set_int64_le dir 8 (Int64.of_int slot_size);
     Disk.Device.write device ~off:0 dir;
-    t.ckpt_target <- Some (Disk_target device);
-    t.ckpt_gen <- 0L;
-    List.iter (fun seg -> seg.last_mod <- t.epoch) t.segs;
-    push_meta t
+    install_target t (Disk_target device)
 
   let clear_target t =
     if t.ckpt_inflight <> None then failwith "Perseas.Checkpoint.clear_target: checkpoint in flight";
@@ -2066,7 +1947,7 @@ module Checkpoint = struct
           slot_write t tg ~slot:p.p_slot ~off:(slot_off + pos)
             ~src_off:(Mem.Segment.base seg.local + pos) ~len;
           p.p_shipped <- p.p_shipped + len;
-          t.st_ckpt_bytes <- t.st_ckpt_bytes + len;
+          t.st.checkpoint_bytes <- t.st.checkpoint_bytes + len;
           budget := !budget - len
         end)
       offs;
@@ -2135,33 +2016,28 @@ module Checkpoint = struct
               reship := !reship + r.r_len)
             txn.ranges)
         t.open_txns;
-      t.st_ckpt_bytes <- t.st_ckpt_bytes + !reship;
+      t.st.checkpoint_bytes <- t.st.checkpoint_bytes + !reship;
       let cut = t.epoch in
       publish t tg p ~cut;
       (* Publication done — truncate local recovery state up to the
          cut, in that order: a crash between publish and truncation
          only costs replaying state the checkpoint already covers. *)
-      let hwm_before = t.st_undo_hwm in
+      let hwm_before = t.st.undo_hwm_bytes in
       compact_log t;
       let truncated = max 0 (hwm_before - t.undo_tail) in
-      t.st_log_truncated <- t.st_log_truncated + truncated;
-      t.st_undo_hwm <- t.undo_tail;
+      t.st.log_truncated_bytes <- t.st.log_truncated_bytes + truncated;
+      t.st.undo_hwm_bytes <- t.undo_tail;
       (cut, truncated)
     in
     (* Dirty log: fold entries at or before the cut into the summary
        that keeps [ranges_since] complete for incremental resync. *)
-    let rec split kept = function
-      | d :: rest when d.d_epoch > cut -> split (d :: kept) rest
-      | old -> (List.rev kept, old)
+    let rec pop_old acc =
+      match Queue.peek_opt t.dirty with
+      | Some d when d.d_epoch <= cut -> pop_old (add_dirty acc (Queue.pop t.dirty))
+      | _ -> acc
     in
-    let kept, old = split [] t.dirty in
-    if old <> [] then begin
-      t.dirty <- kept;
-      t.dirty_count <- List.length kept;
-      let add acc d =
-        let prev = Option.value (Imap.find_opt d.d_seg acc) ~default:Iset.empty in
-        Imap.add d.d_seg (Iset.add prev ~off:d.d_off ~len:d.d_len) acc
-      in
+    let old = pop_old Imap.empty in
+    if not (Imap.is_empty old) then begin
       (* Bound the summary: glue to SCI lines and, past 64 intervals
          per segment, collapse to the hull — over-copying on resync is
          safe, an unbounded interval list is the bug being fixed. *)
@@ -2175,7 +2051,7 @@ module Checkpoint = struct
               let last = List.fold_left (fun _ (o, l) -> o + l) (o0 + l0) rest in
               Iset.add Iset.empty ~off:o0 ~len:(last - o0)
       in
-      t.ckpt_summary <- Imap.map cap (List.fold_left add t.ckpt_summary old);
+      t.ckpt_summary <- Imap.map cap (union_by_seg t.ckpt_summary old);
       t.ckpt_summary_upto <- max t.ckpt_summary_upto cut
     end;
     (* Retired-epoch table: entries below the dirty floor can never be
@@ -2186,7 +2062,7 @@ module Checkpoint = struct
     List.iter (Hashtbl.remove t.retired) dead;
     t.ckpt_gen <- p.p_gen;
     t.ckpt_inflight <- None;
-    t.st_ckpts <- t.st_ckpts + 1;
+    t.st.checkpoints_taken <- t.st.checkpoints_taken + 1;
     Trace.Gauge.set t.g_undo_tail t.undo_tail;
     (cut, truncated)
 
@@ -2395,62 +2271,10 @@ let recover_replicated ?(config = default_config) ?(sink = Trace.Sink.noop) ?on_
   (* Build the new library instance and fetch every segment with one
      remote-to-local copy (paper, end of section 3). *)
   let t =
-    {
-      config;
-      cluster;
-      local_id = local;
-      mirrors = [| { m_client = client; m_meta = meta_remote; m_undo = undo_remote; m_alive = true } |];
-      segs = [];
-      meta_local = Mem.Segment.v ~base:0 ~len:1;
-      undo_local = Mem.Segment.v ~base:0 ~len:1;
-      epoch = new_epoch;
-      ready = true;
-      open_txns = [];
-      staged = [];
-      next_txn_id = 1;
-      undo_tail = 0;
-      flushing = false;
-      convoy_seq = 0;
-      hook = None;
-      sink;
-      tel = Trace.Timeseries.noop;
-      g_undo_tail = Trace.Timeseries.gauge Trace.Timeseries.noop "";
-      g_group_size = Trace.Timeseries.gauge Trace.Timeseries.noop "";
-      repl_target = 1;
-      degraded_since = None;
-      st_degraded = Time.zero;
-      retired = Hashtbl.create 8;
-      dirty = [];
-      dirty_count = 0;
-      dirty_floor = new_epoch;
-      ckpt_target = None;
-      ckpt_inflight = None;
-      ckpt_gen = 0L;
-      ckpt_summary = Imap.empty;
-      ckpt_summary_upto = 0L;
-      st_ckpts = 0;
-      st_ckpt_bytes = 0;
-      st_log_truncated = 0;
-      st_begun = 0;
-      st_committed = 0;
-      st_aborted = 0;
-      st_set_ranges = 0;
-      st_undo_bytes = 0;
-      st_elided_bytes = 0;
-      st_undo_hwm = 0;
-      st_coalesced_ranges = 0;
-      st_commit_saved = 0;
-      st_local_copy_bytes = 0;
-      st_mirrors_lost = 0;
-      st_mirrors_recruited = 0;
-      st_resync_bytes = 0;
-      st_conflicts = 0;
-      st_group_flushes = 0;
-      st_group_txns = 0;
-    }
+    make ~config ~cluster ~local_id:local ~epoch:new_epoch
+      [| { m_client = client; m_meta = meta_remote; m_undo = undo_remote; m_alive = true } |]
   in
-  t.meta_local <- alloc_local t (meta_size t) "metadata staging";
-  t.undo_local <- alloc_local t config.undo_capacity "undo log";
+  t.sink <- sink;
   write_meta_staging t;
   let use_new = checkpoint <> None || helpers <> [] in
   (if not use_new then
@@ -2467,15 +2291,6 @@ let recover_replicated ?(config = default_config) ?(sink = Trace.Sink.noop) ?on_
      let seg_offs, slot_size =
        ckpt_offsets ~meta_size:msize (List.map (fun (_, size, _) -> size) remotes)
      in
-     let table_matches header =
-       List.for_all
-         (fun (index, name, size) ->
-           match Layout.read_table_entry header ~index with
-           | n, s -> n = name && s = size
-           | exception Failure _ -> false)
-         (List.mapi (fun i (n, s, _) -> (i, n, s)) remotes)
-     in
-     let nsegs_expected = List.length remotes in
      (* Probe for the newest valid checkpoint slot: directory
         generation, magic fence, a cut no newer than the chosen
         mirror's epoch, and a segment table matching the mirror's
@@ -2483,6 +2298,28 @@ let recover_replicated ?(config = default_config) ?(sink = Trace.Sink.noop) ?on_
         the first snapshot byte and re-written strictly last) falls
         back to the previous generation, and failing that to plain
         mirror fetch. *)
+     let slot_cut header =
+       let cut = Layout.read_epoch header in
+       let table_matches () =
+         List.for_all
+           (fun (index, name, size) ->
+             match Layout.read_table_entry header ~index with
+             | n, s -> n = name && s = size
+             | exception Failure _ -> false)
+           (List.mapi (fun i (n, s, _) -> (i, n, s)) remotes)
+       in
+       if
+         Layout.read_meta_magic header = Layout.meta_magic
+         && cut <= current_epoch
+         && Layout.read_nsegs header = List.length remotes
+         && table_matches ()
+       then Some cut
+       else None
+     in
+     let newest_slot try_gen dgen =
+       let try_gen gen = if gen <= 0L then None else try_gen gen in
+       match try_gen dgen with None -> try_gen (Int64.pred dgen) | r -> r
+     in
      let probe_ram cserver =
        if not (Netram.Server.is_alive cserver) then None
        else
@@ -2500,9 +2337,8 @@ let recover_replicated ?(config = default_config) ?(sink = Trace.Sink.noop) ?on_
          | Some dir ->
              let dgen = Mem.Image.read_u64 cimage (Remote_segment.base dir) in
              charge ~off:(Remote_segment.base dir) ~len:8;
-             let try_gen gen =
-               if gen <= 0L then None
-               else
+             newest_slot
+               (fun gen ->
                  match
                    Netram.Server.lookup cserver
                      ~name:
@@ -2513,40 +2349,24 @@ let recover_replicated ?(config = default_config) ?(sink = Trace.Sink.noop) ?on_
                      let sbase = Remote_segment.base h in
                      let header = Mem.Image.read_bytes cimage ~off:sbase ~len:msize in
                      charge ~off:sbase ~len:msize;
-                     let cut = Layout.read_epoch header in
-                     if
-                       Layout.read_meta_magic header <> Layout.meta_magic
-                       || cut > current_epoch
-                       || Layout.read_nsegs header <> nsegs_expected
-                       || not (table_matches header)
-                     then None
-                     else Some (cut, `Ram (cnode, cimage, sbase, chops, dir))
-                 | _ -> None
-             in
-             (match try_gen dgen with Some r -> Some r | None -> try_gen (Int64.pred dgen))
+                     Option.map
+                       (fun cut -> (cut, `Ram (cnode, cimage, sbase, chops, dir)))
+                       (slot_cut header)
+                 | _ -> None)
+               dgen
      in
      let probe_disk device =
        let dirb = Disk.Device.read device ~off:0 ~len:Layout.ckpt_dir_size in
-       let dgen = Bytes.get_int64_le dirb 0 in
        if Int64.to_int (Bytes.get_int64_le dirb 8) <> slot_size then None
        else
-         let try_gen gen =
-           if gen <= 0L then None
-           else
+         newest_slot
+           (fun gen ->
              let sbase = Layout.ckpt_dir_size + (Int64.to_int (Int64.rem gen 2L) * slot_size) in
              if sbase + slot_size > Disk.Device.capacity device then None
              else
                let header = Disk.Device.read device ~off:sbase ~len:msize in
-               let cut = Layout.read_epoch header in
-               if
-                 Layout.read_meta_magic header <> Layout.meta_magic
-                 || cut > current_epoch
-                 || Layout.read_nsegs header <> nsegs_expected
-                 || not (table_matches header)
-               then None
-               else Some (cut, `Disk (device, sbase))
-         in
-         (match try_gen dgen with Some r -> Some r | None -> try_gen (Int64.pred dgen))
+               Option.map (fun cut -> (cut, `Disk (device, sbase))) (slot_cut header))
+           (Bytes.get_int64_le dirb 0)
      in
      (* The mirror's metadata says whether the per-segment modification
         epochs were being maintained when the primary died; without the
@@ -2665,12 +2485,7 @@ let archive t device =
   if t.open_txns <> [] then failwith "Perseas.archive: close the open transactions first";
   if not t.ready then failwith "Perseas.archive: nothing to archive before init_remote_db";
   let image = local_dram t in
-  let b = Bytes.make (meta_size t) '\000' in
-  Layout.write_meta_magic b;
-  Layout.write_epoch b t.epoch;
-  Layout.write_nsegs b (List.length t.segs);
-  List.iter (fun s -> Layout.write_table_entry b ~index:s.index ~name:s.seg_name ~size:s.size) t.segs;
-  Disk.Device.write device ~off:0 b;
+  Disk.Device.write device ~off:0 (meta_image t t.epoch);
   let off = ref (meta_size t) in
   List.iter
     (fun seg ->
@@ -2914,8 +2729,8 @@ module Shard = struct
     phase : Phase.t;
     mutable queue : cross list; (* FIFO: head drains first *)
     mutable next_xid : int;
-    mutable st_cross : int; (* cross-shard transactions committed *)
-    mutable st_cross_conflicts : int; (* drain attempts bounced by a conflict *)
+    mutable cross_done : int; (* cross-shard transactions committed *)
+    mutable cross_bounced : int; (* drain attempts bounced by a conflict *)
   }
 
   type nonrec t = router
@@ -2939,8 +2754,8 @@ module Shard = struct
       phase = Phase.create ?interval ~master ();
       queue = [];
       next_xid = 0;
-      st_cross = 0;
-      st_cross_conflicts = 0;
+      cross_done = 0;
+      cross_bounced = 0;
     }
 
   let shards sh = Array.length sh.members
@@ -3057,10 +2872,10 @@ module Shard = struct
           match run_cross sh x with
           | `Committed -> incr committed
           | `Conflicted ->
-              sh.st_cross_conflicts <- sh.st_cross_conflicts + 1;
+              sh.cross_bounced <- sh.cross_bounced + 1;
               requeued := x :: !requeued)
         q;
-      sh.st_cross <- sh.st_cross + !committed;
+      sh.cross_done <- sh.cross_done + !committed;
       sh.queue <- List.rev !requeued;
       fence sh;
       Phase.end_single_master sh.phase ~drained:!committed ~at:(now sh);
@@ -3102,8 +2917,8 @@ module Shard = struct
   let stats sh =
     {
       per_shard = Array.map (fun m -> m.sh_committed) sh.members;
-      cross_committed = sh.st_cross;
-      cross_conflicts = sh.st_cross_conflicts;
+      cross_committed = sh.cross_done;
+      cross_conflicts = sh.cross_bounced;
       backlog = List.length sh.queue;
       switches = Phase.single_master_phases sh.phase;
       phase_epoch = Phase.epoch sh.phase;
@@ -3116,7 +2931,7 @@ module Shard = struct
         Trace.Timeseries.set tel "cluster.backlog" (List.length sh.queue);
         Trace.Timeseries.set tel "cluster.phase"
           (match Phase.kind sh.phase with Phase.Partitioned -> 0 | Phase.Single_master -> 1);
-        Trace.Timeseries.set tel "cluster.cross_committed" sh.st_cross;
+        Trace.Timeseries.set tel "cluster.cross_committed" sh.cross_done;
         Trace.Timeseries.set tel "cluster.switches" (Phase.single_master_phases sh.phase);
         Array.iter
           (fun m ->

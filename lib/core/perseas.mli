@@ -55,11 +55,6 @@ type config = {
       (** Prefix of this database's exported-segment names, so several
           independent databases can share one memory server.  Recovery
           must use the same namespace. *)
-  dirty_log_limit : int;
-      (** Maximum entries of the dirty-range log behind incremental
-          resync ({!recruit_mirror}).  When the log overflows, the
-          oldest entries are dropped and mirrors that have been gone
-          longer than the remaining window get a full copy instead. *)
   group_commit : int;
       (** Commits per shared flush.  [1] (default) is eager per-commit
           propagation — the original single-transaction behaviour,
@@ -82,7 +77,7 @@ type config = {
 
 val default_config : config
 (** 1 MiB + slack of undo space, 64 segments, strict updates,
-    redundancy elision on, 4096 dirty-log entries, eager commit
+    redundancy elision on, eager commit
     ([group_commit = 1]), 64 retired-epoch entries. *)
 
 exception Undo_overflow
@@ -212,8 +207,8 @@ val recruit_mirror : t -> server:Netram.Server.t -> resync_report
 (** {!attach_mirror}, but when [server] is an ex-mirror of this
     database that came back from a transient outage (its exports are
     intact and its replica is no newer than the epoch at which it was
-    dropped), only the ranges committed since it left are copied — the
-    dirty-range log bounded by [config.dirty_log_limit] remembers them.
+    dropped), only the ranges committed since it left are copied — a
+    FIFO dirty-range log of at most 4096 entries remembers them.
     Falls back to a full copy whenever the incremental path cannot be
     proven safe: the node was never a mirror, it has been gone longer
     than the dirty log reaches back, its exports were lost (a reboot
@@ -567,48 +562,48 @@ val commit_packets : txn -> int
 
 (** {1 Statistics} *)
 
-type stats = {
-  begun : int;
-  committed : int;
-  aborts : int;
-  set_ranges : int;
-  undo_bytes_logged : int;
+type stats = private {
+  mutable begun : int;
+  mutable committed : int;
+  mutable aborts : int;
+  mutable set_ranges : int;
+  mutable undo_bytes_logged : int;
       (** Before-image payload bytes actually logged (after elision). *)
-  elided_undo_bytes : int;
+  mutable elided_undo_bytes : int;
       (** Declared bytes whose undo logging was skipped because the
           write-set index already covered them ([redundancy_elision]). *)
-  undo_hwm_bytes : int;
+  mutable undo_hwm_bytes : int;
       (** High-water mark of the undo log within one transaction
           (headers included) — how close any transaction came to
           {!type-config.undo_capacity}. *)
-  coalesced_ranges : int;
+  mutable coalesced_ranges : int;
       (** Declared ranges merged away by commit propagation: the sum
           over commits of (set_range calls − contiguous runs shipped). *)
-  commit_bytes_saved : int;
+  mutable commit_bytes_saved : int;
       (** Payload bytes commit propagation did {e not} re-ship thanks to
           coalescing: the sum over commits of (declared bytes, duplicates
           included − coalesced write-set bytes). *)
-  local_copy_bytes : int;  (** Bytes moved by local memcpys. *)
-  mirrors_lost : int;  (** Mirrors dropped after failing mid-operation. *)
-  mirrors_recruited : int;  (** Mirrors (re-)joined after {!init_remote_db}. *)
-  resync_bytes : int;  (** Database bytes pushed to joining mirrors. *)
-  degraded_us : int;
+  mutable local_copy_bytes : int;  (** Bytes moved by local memcpys. *)
+  mutable mirrors_lost : int;  (** Mirrors dropped after failing mid-operation. *)
+  mutable mirrors_recruited : int;  (** Mirrors (re-)joined after {!init_remote_db}. *)
+  mutable resync_bytes : int;  (** Database bytes pushed to joining mirrors. *)
+  mutable degraded_us : int;
       (** Total virtual microseconds spent below the replication target
           (see {!set_replication_target}; an open degraded window counts
           up to the current clock). *)
-  conflicts : int;
+  mutable conflicts : int;
       (** Transactions aborted because a concurrent peer declared an
           overlapping 64-byte line (both the immediate and the doomed
           flavour of {!Conflict}). *)
-  group_flushes : int;  (** Group-commit queue drains ({!flush}). *)
-  group_commit_txns : int;
+  mutable group_flushes : int;  (** Group-commit queue drains ({!flush}). *)
+  mutable group_commit_txns : int;
       (** Transactions committed through those flushes; divided by
           [group_flushes] this is the achieved batch size. *)
-  checkpoints_taken : int;  (** Checkpoints published ({!Checkpoint.finalize}). *)
-  checkpoint_bytes : int;
+  mutable checkpoints_taken : int;  (** Checkpoints published ({!Checkpoint.finalize}). *)
+  mutable checkpoint_bytes : int;
       (** Segment-image bytes shipped to the checkpoint target,
           including finalize-time re-ships and scrubs. *)
-  log_truncated_bytes : int;
+  mutable log_truncated_bytes : int;
       (** Undo-log bytes reclaimed by checkpoint truncation; each
           truncation also resets [undo_hwm_bytes] to the surviving
           tail, so the telemetry dashboard shows the log footprint
@@ -616,6 +611,9 @@ type stats = {
 }
 
 val stats : t -> stats
+(** A snapshot: later operations do not change it.  The fields are
+    [mutable] only because the engine bumps its own copy in place;
+    [private] keeps callers read-only. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 (** One [name value] line per counter. *)

@@ -258,16 +258,7 @@ let checkpoint () =
      constant while the database grows.  Without a checkpoint the whole
      database streams over from the mirror. *)
   let run ~nsegs ~mode =
-    let clock = Clock.create () in
-    let specs =
-      List.mapi
-        (fun i n -> Cluster.spec ~dram_size:(mb 64) ~power_supply:i n)
-        [ "primary"; "mirror"; "ckpt"; "spare" ]
-    in
-    let cluster = Cluster.create ~clock specs in
-    let server = Netram.Server.create (Cluster.node cluster 1) in
-    let client = Netram.Client.create ~cluster ~local:0 ~server in
-    let t = Perseas.init_replicated [ client ] in
+    let { Testbed.clock; cluster; server; ckpt_server; perseas = t } = Testbed.checkpoint_bed () in
     let seg_size = kb 128 in
     let segs =
       List.init nsegs (fun i ->
@@ -277,7 +268,6 @@ let checkpoint () =
           seg)
     in
     Perseas.init_remote_db t;
-    let ckpt_server = Netram.Server.create (Cluster.node cluster 2) in
     let touch seg ~off fill =
       let txn = Perseas.begin_transaction t in
       Perseas.set_range txn seg ~off ~len:256;

@@ -58,6 +58,32 @@ let replicated_bed ?config ?params ?(dram_mb = 64) ~mirrors () =
   let clients = List.map (fun server -> Netram.Client.create ~cluster ~local:0 ~server) servers in
   { clock; cluster; servers; perseas = Perseas.init_replicated ?config clients }
 
+type checkpoint_bed = {
+  clock : Clock.t;
+  cluster : Cluster.t;
+  server : Netram.Server.t;
+  ckpt_server : Netram.Server.t;
+  perseas : Perseas.t;
+}
+
+let checkpoint_bed () =
+  let clock = Clock.create () in
+  let specs =
+    List.mapi
+      (fun i n -> Cluster.spec ~dram_size:(mb 64) ~power_supply:i n)
+      [ "primary"; "mirror"; "ckpt"; "spare" ]
+  in
+  let cluster = Cluster.create ~clock specs in
+  let server = Netram.Server.create (Cluster.node cluster 1) in
+  let client = Netram.Client.create ~cluster ~local:0 ~server in
+  {
+    clock;
+    cluster;
+    server;
+    ckpt_server = Netram.Server.create (Cluster.node cluster 2);
+    perseas = Perseas.init client;
+  }
+
 let replicated_instance ?config ?dram_mb ~mirrors () : instance =
   let bed = replicated_bed ?config ?dram_mb ~mirrors () in
   (module struct

@@ -54,6 +54,20 @@ val replicated_bed :
 (** Primary on node 0, [mirrors] mirror nodes after it, each on its own
     power supply; the database is mirrored on all of them. *)
 
+type checkpoint_bed = {
+  clock : Clock.t;
+  cluster : Cluster.t;
+  server : Netram.Server.t;  (** Memory server on the mirror node. *)
+  ckpt_server : Netram.Server.t;  (** Memory server on the checkpoint node. *)
+  perseas : Perseas.t;
+}
+
+val checkpoint_bed : unit -> checkpoint_bed
+(** Primary (node 0), mirror (node 1), checkpoint target (node 2) and
+    spare (node 3), each on its own power supply, 64 MB of DRAM each.
+    The target's server is created but not yet attached
+    ({!Perseas.Checkpoint.set_ram_target}). *)
+
 val replicated_instance :
   ?config:Perseas.config -> ?dram_mb:int -> mirrors:int -> unit -> instance
 (** Engine view of {!replicated_bed} (label ["PERSEAS-<k>m"]). *)

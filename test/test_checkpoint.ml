@@ -266,6 +266,58 @@ let test_incremental_recruit_after_truncation () =
     (P.verify_mirrors b.t)
 
 (* ------------------------------------------------------------------ *)
+(* Dirty-log overflow: past 4096 entries the oldest are dropped         *)
+
+(* One single-range commit per call, cycling over the first 32 lines of
+   segment x: each adds exactly one dirty-log entry. *)
+let overflow_log b = for i = 0 to 4100 do commit_fill b "x" ~off:(i mod 32 * 128) 'o' done
+
+let test_overflow_forces_full_recruit () =
+  let b = with_db ~k:2 () in
+  let leaver = List.nth b.servers 1 in
+  P.detach_mirror b.t ~node_id:2;
+  overflow_log b;
+  let r = P.recruit_mirror b.t ~server:leaver in
+  check_bool "gone longer than the log reaches: full copy" true (r.P.mode = P.Full);
+  check_int "whole database copied" r.P.full_bytes r.P.bytes_copied;
+  check Alcotest.(list (pair string int)) "mirrors clean" [] (P.verify_mirrors b.t)
+
+let test_recruit_after_overflow_is_incremental () =
+  let b = with_db ~k:2 () in
+  let leaver = List.nth b.servers 1 in
+  overflow_log b;
+  P.detach_mirror b.t ~node_id:2;
+  (* Dirtied since it left: x[64,192) + x[128,256) = x[64,256), and
+     y[1024,1152) — 192 + 128 bytes. *)
+  commit_fill b "x" ~off:64 'p';
+  commit_fill b "x" ~off:128 'q';
+  commit_fill b "y" ~off:1024 'r';
+  let r = P.recruit_mirror b.t ~server:leaver in
+  check_bool "left after the floor rose: incremental" true (r.P.mode = P.Incremental);
+  check_int "copies the union of the ranges dirtied since" (192 + 128) r.P.bytes_copied;
+  check Alcotest.(list (pair string int)) "mirrors clean" [] (P.verify_mirrors b.t)
+
+let test_overflow_reships_whole_images () =
+  let b = with_db () in
+  Ckpt.set_ram_target b.t ~server:b.ckpt_server;
+  Ckpt.start b.t;
+  overflow_log b;
+  let bytes0 = (P.stats b.t).P.checkpoint_bytes in
+  ignore (Ckpt.finalize b.t);
+  (* The snapshot pass ships both images, then the overflowed log
+     cannot say what changed since the start: both are shipped again. *)
+  check_int "images shipped twice" (4 * seg_size) ((P.stats b.t).P.checkpoint_bytes - bytes0);
+  let committed = signature b.t in
+  ignore (Cluster.crash_node b.cluster 0 Cluster.Failure.Software_error);
+  let t2 =
+    P.recover_replicated ~config:(P.config b.t) ~checkpoint:(P.Ram_source b.ckpt_server)
+      ~cluster:b.cluster ~local:b.ckpt_node ~servers:b.servers ()
+  in
+  check
+    Alcotest.(list (pair string int64))
+    "checkpoint recovery restores the committed image" committed (signature t2)
+
+(* ------------------------------------------------------------------ *)
 (* Disk target                                                          *)
 
 let test_disk_checkpoint () =
@@ -471,6 +523,9 @@ let suite =
     ("retired-epoch table is bounded", `Quick, test_retired_table_bounded);
     ("retired_limit is validated", `Quick, test_retired_limit_validated);
     ("incremental recruit survives truncation", `Quick, test_incremental_recruit_after_truncation);
+    ("dirty-log overflow forces a full recruit", `Quick, test_overflow_forces_full_recruit);
+    ("recruit after the overflow floor is incremental", `Quick, test_recruit_after_overflow_is_incremental);
+    ("dirty-log overflow re-ships whole images", `Quick, test_overflow_reships_whole_images);
     ("disk checkpoint restores", `Quick, test_disk_checkpoint);
     ("undersized disk target rejected", `Quick, test_disk_too_small);
     ("background checkpointer", `Quick, test_auto_checkpoints);

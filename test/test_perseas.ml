@@ -240,7 +240,14 @@ let test_stats_accounting () =
   check_int "committed" 1 s.committed;
   check_int "aborts" 1 s.aborts;
   check_int "set_ranges" 2 s.set_ranges;
-  check_int "undo bytes" 20 s.undo_bytes_logged
+  check_int "undo bytes" 20 s.undo_bytes_logged;
+  (* A snapshot does not move with the engine. *)
+  let txn = P.begin_transaction b.t in
+  P.set_range txn seg ~off:0 ~len:10;
+  P.commit txn;
+  check_int "snapshot keeps its begun" 2 s.begun;
+  check_int "snapshot keeps its committed" 1 s.committed;
+  check_int "engine moved on" 2 (P.stats b.t).committed
 
 let test_epoch_write_is_single_packet () =
   let b, seg = with_db () in

@@ -52,7 +52,7 @@ let test_phase () =
   Phase.end_single_master p ~drained:1 ~at:(Time.us 160.);
   check_int "backlog drained" 0 (Phase.backlog p);
   check_int "one switch" 1 (Phase.single_master_phases p);
-  check_int "two switch records" 2 (List.length (Phase.switches p))
+  check_int "phase epoch" 2 (Phase.epoch p)
 
 (* ------------------------------------------------------------------ *)
 (* Routing and parallelism *)
