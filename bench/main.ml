@@ -10,11 +10,12 @@
      dune exec bench/main.exe -- compare --against BENCH_summary.json [--tolerance PCT] [--p99-tolerance PCT]
                                               # re-measure the matrix, exit 1 on regression *)
 
-let list_experiments () =
-  print_endline "Available experiments:";
-  List.iter
-    (fun (name, descr, _) -> Printf.printf "  %-18s %s\n" name descr)
-    Harness.Experiments.names
+let run_experiments names =
+  match Harness.Experiments.run names with
+  | Ok () -> ()
+  | Error msg ->
+      Printf.eprintf "%s (try --list)\n" msg;
+      exit 2
 
 (* Machine-readable latency baseline for future perf PRs: virtual tps
    and per-phase mean latency of the standard mixes on one mirror. *)
@@ -122,10 +123,12 @@ let () =
   let args = List.tl (Array.to_list Sys.argv) in
   match args with
   | [] ->
-      Harness.Experiments.all ();
+      run_experiments [];
       bench_latency ();
       print_endline "\nAll experiments done; CSVs are under results/."
-  | [ "--list" ] -> list_experiments ()
+  | [ "--list" ] ->
+      print_endline "Available experiments:";
+      Harness.Experiments.print_list ()
   | [ "--latency" ] -> bench_latency ()
   | [ "--all" ] -> bench_all ()
   | "compare" :: rest ->
@@ -134,14 +137,4 @@ let () =
       bench_compare ~against
         ~tolerance_pct:(Option.value tolerance ~default:10.0)
         ~p99_tolerance_pct:(Option.value p99_tolerance ~default:20.0)
-  | names ->
-      List.iter
-        (fun name ->
-          match
-            List.find_opt (fun (n, _, _) -> n = name) Harness.Experiments.names
-          with
-          | Some (_, _, run) -> run ()
-          | None ->
-              Printf.eprintf "unknown experiment %S (try --list)\n" name;
-              exit 2)
-        names
+  | names -> run_experiments names

@@ -36,31 +36,8 @@ let experiments_cmd =
   in
   let run verbose list names =
     setup_logs verbose;
-    if list then begin
-      List.iter
-        (fun (name, descr, _) -> Printf.printf "  %-18s %s\n" name descr)
-        Harness.Experiments.names;
-      `Ok ()
-    end
-    else if names = [] then begin
-      Harness.Experiments.all ();
-      `Ok ()
-    end
-    else
-      let missing =
-        List.filter
-          (fun n -> not (List.exists (fun (m, _, _) -> m = n) Harness.Experiments.names))
-          names
-      in
-      if missing <> [] then `Error (false, "unknown experiment(s): " ^ String.concat ", " missing)
-      else begin
-        List.iter
-          (fun n ->
-            let _, _, f = List.find (fun (m, _, _) -> m = n) Harness.Experiments.names in
-            f ())
-          names;
-        `Ok ()
-      end
+    if list then `Ok (Harness.Experiments.print_list ())
+    else match Harness.Experiments.run names with Ok () -> `Ok () | Error msg -> `Error (false, msg)
   in
   let doc = "Regenerate the paper's tables and figures (CSV copies under results/)." in
   Cmd.v (Cmd.info "experiments" ~doc)
@@ -109,45 +86,19 @@ let workload_cmd =
     setup_logs verbose;
     if iters <= 0 || warmup < 0 then `Error (false, "iters must be positive")
     else begin
-      let ((module I : Harness.Testbed.INSTANCE) as inst) =
-        if engine = "perseas" && mirrors > 1 then Harness.Testbed.replicated_instance ~mirrors ()
+      let inst =
+        if engine = "perseas" && mirrors > 1 then Harness.Testbed.(instance (make ~mirrors ()))
         else instance_of engine
       in
-      let hist = Sim.Stats.Histogram.create ~sub_buckets:1 () in
-      let observed tx i =
-        let t0 = Sim.Clock.now I.clock in
-        tx i;
-        Sim.Stats.Histogram.add hist (Sim.Time.to_us (Sim.Clock.now I.clock - t0))
-      in
-      let result =
+      let mix =
         match workload with
-        | "debit-credit" ->
-            let module W = Workloads.Debit_credit.Make (I.E) in
-            let rng = Sim.Rng.create 7 in
-            let db = W.setup I.engine ~params:Workloads.Debit_credit.default_params in
-            let r =
-              Harness.Measure.run ~clock:I.clock ~finish:I.finish ~warmup ~iters
-                (observed (fun _ -> W.transaction db rng))
-            in
-            assert (W.consistent db);
-            r
-        | "order-entry" ->
-            let module W = Workloads.Order_entry.Make (I.E) in
-            let rng = Sim.Rng.create 11 in
-            let db = W.setup I.engine ~params:Workloads.Order_entry.default_params in
-            let r =
-              Harness.Measure.run ~clock:I.clock ~finish:I.finish ~warmup ~iters
-                (observed (fun _ -> W.transaction db rng))
-            in
-            assert (W.consistent db);
-            r
-        | "synthetic" ->
-            let module S = Workloads.Synthetic.Make (I.E) in
-            let rng = Sim.Rng.create 42 in
-            let db = S.setup I.engine ~db_size:(8 * 1024 * 1024) in
-            Harness.Measure.run ~clock:I.clock ~finish:I.finish ~warmup ~iters
-              (observed (fun _ -> S.transaction db rng ~tx_size))
-        | other -> invalid_arg other
+        | "debit-credit" -> Harness.Measure.Debit_credit Workloads.Debit_credit.default_params
+        | "order-entry" -> Harness.Measure.Order_entry Workloads.Order_entry.default_params
+        | _ -> Harness.Measure.Synthetic { db_size = 8 * 1024 * 1024; tx_size }
+      in
+      let hist = Sim.Stats.Histogram.create ~sub_buckets:1 () in
+      let result =
+        Harness.Measure.workload ~observe:(Sim.Stats.Histogram.add hist) inst mix ~warmup ~iters
       in
       Format.printf "%s / %s: %a@." (Harness.Testbed.label inst) workload Harness.Measure.pp_result
         result;
@@ -361,41 +312,17 @@ let checkpoint_cmd =
     setup_logs verbose;
     if txns < 0 || tail < 0 then `Error (false, "txns and tail must be non-negative")
     else begin
-      let { Harness.Testbed.clock; cluster; server; ckpt_server; perseas = t } =
-        Harness.Testbed.checkpoint_bed ()
-      in
-      let module W = Workloads.Debit_credit.Make (Perseas.Engine) in
-      let rng = Sim.Rng.create 7 in
-      let db = W.setup t ~params:Workloads.Debit_credit.default_params in
-      Perseas.Checkpoint.set_ram_target t ~server:ckpt_server;
-      for _ = 1 to txns do
-        W.transaction db rng
-      done;
-      let hwm = (Perseas.stats t).Perseas.undo_hwm_bytes in
-      let cut, truncated = Perseas.Checkpoint.take t in
-      let st = Perseas.stats t in
+      let c = Harness.Experiments.checkpoint_cycle ~txns ~tail in
       Printf.printf
         "checkpoint generation %Ld published at epoch %Ld: shipped %d B, truncated %d B of undo \
          (high-water mark %d -> %d B)\n"
-        (Perseas.Checkpoint.generation t)
-        cut st.Perseas.checkpoint_bytes truncated hwm st.Perseas.undo_hwm_bytes;
-      for _ = 1 to tail do
-        W.transaction db rng
-      done;
-      ignore (Cluster.crash_node cluster 0 Cluster.Failure.Software_error);
-      let t0 = Sim.Clock.now clock in
-      let t2 =
-        Perseas.recover_replicated ~config:(Perseas.config t)
-          ~checkpoint:(Perseas.Ram_source ckpt_server) ~cluster ~local:2 ~servers:[ server ] ()
-      in
-      let us = Sim.Time.to_us (Sim.Clock.now clock - t0) in
-      if Perseas.verify_mirrors t2 <> [] then
-        `Error (false, "recovered database has divergent mirrors")
+        c.generation c.cut c.shipped_bytes c.truncated_bytes c.undo_hwm_before c.undo_hwm_after;
+      if not c.mirrors_clean then `Error (false, "recovered database has divergent mirrors")
       else begin
         Printf.printf
           "primary killed after %d more txns; recovered on the checkpoint target's node in %.1f \
            us (epoch %Ld, mirrors clean)\n"
-          tail us (Perseas.epoch t2);
+          tail c.recovery_us c.recovered_epoch;
         `Ok ()
       end
     end
@@ -596,43 +523,26 @@ let explain_cmd =
         r.Harness.Measure.iters;
       (* Per-phase (and per-mirror) tail: who owns the p99. *)
       let phase_rows =
-        List.filter_map
-          (fun (name, h) ->
-            if Sim.Stats.Histogram.count h = 0 then None
-            else
-              let pp99 = Sim.Stats.Histogram.percentile h 99. in
-              Some
-                [
-                  name;
-                  string_of_int (Sim.Stats.Histogram.count h);
-                  Printf.sprintf "%.2f" (Sim.Stats.Histogram.percentile h 50.);
-                  Printf.sprintf "%.2f" pp99;
-                  Printf.sprintf "%.1f%%" (100. *. pp99 /. p99);
-                ])
-          (Trace.Tail.phases tail)
-        @ List.filter_map
-            (fun ((name, mirror), h) ->
-              if Sim.Stats.Histogram.count h = 0 then None
-              else
-                let pp99 = Sim.Stats.Histogram.percentile h 99. in
-                Some
-                  [
-                    Printf.sprintf "  %s[m%d]" name mirror;
-                    string_of_int (Sim.Stats.Histogram.count h);
-                    Printf.sprintf "%.2f" (Sim.Stats.Histogram.percentile h 50.);
-                    Printf.sprintf "%.2f" pp99;
-                    Printf.sprintf "%.1f%%" (100. *. pp99 /. p99);
-                  ])
-            (Trace.Tail.mirror_phases tail)
+        List.map
+          (fun (name, h, pp99, share) ->
+            [
+              name;
+              string_of_int (Sim.Stats.Histogram.count h);
+              Printf.sprintf "%.2f" (Sim.Stats.Histogram.percentile h 50.);
+              Printf.sprintf "%.2f" pp99;
+              Printf.sprintf "%.1f%%" (100. *. share);
+            ])
+          (E.phase_shares ~p99
+             (Trace.Tail.phases tail
+             @ List.map
+                 (fun ((name, mirror), h) -> (Printf.sprintf "  %s[m%d]" name mirror, h))
+                 (Trace.Tail.mirror_phases tail)))
       in
       Harness.Table.print
         ~title:"Tail attribution: per-phase latency percentiles (share = phase p99 / e2e p99)"
         ~header:[ "phase"; "count"; "p50_us"; "p99_us"; "share" ]
         phase_rows;
-      let attribution =
-        List.fold_left (fun acc (_, p) -> acc +. p) 0. (Trace.Tail.phase_p99s tail) /. p99
-      in
-      Printf.printf "named phases attribute %.1f%% of the measured p99\n\n" (100. *. attribution);
+      Printf.printf "named phases attribute %.1f%% of the measured p99\n\n" (100. *. E.attribution x);
       (* Cost model: predicted vs measured per packet class. *)
       Harness.Table.print ~title:"Analytic cost model vs NIC packet stream (settled commit units)"
         ~header:[ "class"; "pred 64B"; "meas 64B"; "pred 16B"; "meas 16B"; "pred B"; "meas B" ]
@@ -676,12 +586,7 @@ let explain_cmd =
               (Trace.Tail.timelines e)
           end)
         exemplars;
-      if attribution < 0.95 then
-        `Error (false, "named phases attribute < 95% of the measured p99")
-      else if exemplars = [] then `Error (false, "no exemplar transaction retained")
-      else if Cm.drift_count model > 0 then
-        `Error (false, "cost model drifted from the NIC packet stream")
-      else `Ok ()
+      match E.explain_verdict x with Some msg -> `Error (false, msg) | None -> `Ok ()
     end
   in
   let doc =
@@ -705,24 +610,11 @@ let stats_cmd =
     if iters <= 0 then `Error (false, "iters must be positive")
     else if mirrors < 1 then `Error (false, "mirrors must be positive")
     else begin
-      let bed = Harness.Testbed.replicated_bed ~mirrors () in
-      let t = bed.perseas in
-      (match mix with
-      | Harness.Experiments.Debit_credit_mix ->
-          let module W = Workloads.Debit_credit.Make (Perseas.Engine) in
-          let rng = Sim.Rng.create 7 in
-          let db = W.setup t ~params:Workloads.Debit_credit.small_params in
-          for _ = 1 to iters do
-            W.transaction db rng
-          done
-      | Harness.Experiments.Large_update_mix ->
-          let module S = Workloads.Synthetic.Make (Perseas.Engine) in
-          let rng = Sim.Rng.create 42 in
-          let db = S.setup t ~db_size:(8 * 1024 * 1024) in
-          for _ = 1 to iters do
-            S.transaction db rng ~tx_size:(16 * 1024)
-          done);
-      let stats = Perseas.stats t in
+      let bed = Harness.Testbed.make ~mirrors () in
+      ignore
+        (Harness.Measure.workload (Harness.Testbed.instance bed) (Harness.Experiments.mix_of mix)
+           ~warmup:0 ~iters);
+      let stats = Perseas.stats bed.perseas in
       if pretty then Format.printf "%a@." Perseas.pp_stats stats
       else print_endline (Perseas.stats_to_json stats);
       `Ok ()
@@ -816,15 +708,14 @@ let postmortem_cmd =
     else if mirrors < 1 then `Error (false, "mirrors must be positive")
     else begin
       let f = Harness.Forensics.create () in
-      let bed = Harness.Testbed.replicated_bed ~mirrors () in
+      let bed = Harness.Testbed.make ~mirrors () in
       let t = bed.perseas in
+      (* Attached before set-up: the recorder sees the whole run. *)
       Harness.Forensics.attach f t;
-      let module W = Workloads.Debit_credit.Make (Perseas.Engine) in
-      let rng = Sim.Rng.create 7 in
-      let db = W.setup t ~params:Workloads.Debit_credit.small_params in
-      for _ = 1 to txns do
-        W.transaction db rng
-      done;
+      ignore
+        (Harness.Measure.workload (Harness.Testbed.instance bed)
+           (Harness.Experiments.mix_of Harness.Experiments.Debit_credit_mix)
+           ~warmup:0 ~iters:txns);
       let offending = "2" in
       let cause =
         if inject then begin
@@ -908,10 +799,8 @@ let sharding_cmd =
     else if cross < 0 then `Error (false, "cross must be non-negative")
     else begin
       let module S = Harness.Sharding in
-      let module DC = Workloads.Debit_credit in
-      let base = DC.scaled_params ~tps:10_000 () in
-      let params = { base with DC.scale = max 1 (scale / shards) } in
       if failover then begin
+        let params = Harness.Experiments.sharding_params ~scale ~shards () in
         let f = S.failover ~shards:(max 2 shards) ~mirrors ~clients ~params () in
         Printf.printf
           "before crash: %d committed (%d cross); after heal: %d committed (%d cross)\n"
@@ -929,9 +818,8 @@ let sharding_cmd =
       end
       else begin
         let c =
-          S.run_cell ~mirrors ~clients
-            ~dram_mb:(64 + (params.DC.scale * 16))
-            ~params ~total ~shards ~cross_per_100:cross ()
+          Harness.Experiments.sharding_cell ~mirrors ~clients ~scale ~total ~shards
+            ~cross_per_100:cross ()
         in
         Harness.Table.print ~title:"Sharded debit-credit"
           ~header:

@@ -21,33 +21,25 @@ type entry = {
          Trace.Tail histograms; [] for baselines and older schemas. *)
 }
 
-let workload_label = function `Debit_credit -> "debit-credit" | `Order_entry -> "order-entry"
-let workloads = [ `Debit_credit; `Order_entry ]
+let workloads =
+  [
+    ("debit-credit", Measure.Debit_credit Workloads.Debit_credit.default_params);
+    ("order-entry", Measure.Order_entry Workloads.Order_entry.default_params);
+  ]
 
-(* PERSEAS cells are built from the bed rather than the packed
-   instance so the gate can also read the cluster NIC's packet
-   counters. *)
+(* PERSEAS cells keep their bed so the gate can also read the cluster
+   NIC's packet counters. *)
 let perseas_cell mirrors () =
-  let bed = T.replicated_bed ~mirrors () in
-  let inst : T.instance =
-    (module struct
-      module E = Perseas.Engine
-
-      let engine = bed.T.perseas
-      let clock = bed.T.clock
-      let label = Printf.sprintf "PERSEAS-%dm" mirrors
-      let finish () = ()
-    end)
-  in
+  let bed = T.make ~mirrors () in
   (* The tail attaches only after setup (inside [measure]'s reset), so
      the per-phase histograms cover the warmup + measured window, not
      database creation. *)
   let attach_tail () =
     let tail = Trace.Tail.create () in
-    Perseas.set_sink bed.T.perseas (Trace.Tail.sink tail);
+    Perseas.set_sink bed.perseas (Trace.Tail.sink tail);
     tail
   in
-  (inst, Some (Cluster.nic bed.T.cluster), Some attach_tail)
+  (T.instance bed, Some (Cluster.nic bed.cluster), Some attach_tail)
 
 (* Fresh instance per cell — engines accumulate state. *)
 let engines =
@@ -61,8 +53,7 @@ let engines =
     ("RemoteWAL", 0, fun () -> (T.remote_wal_instance (), None, None));
   ]
 
-let measure (inst, nic, attach_tail) workload =
-  let (module I : T.INSTANCE) = inst in
+let measure (inst, nic, attach_tail) mix =
   let iters = if T.label inst = "RVM" then 2_000 else 10_000 in
   let warmup = iters / 10 in
   let tail = ref None in
@@ -72,31 +63,7 @@ let measure (inst, nic, attach_tail) workload =
     Option.iter Sci.Nic.reset_counters nic;
     tail := Option.map (fun f -> f ()) attach_tail
   in
-  let r =
-    match workload with
-    | `Debit_credit ->
-        let module W = Workloads.Debit_credit.Make (I.E) in
-        let rng = Sim.Rng.create 7 in
-        let db = W.setup I.engine ~params:Workloads.Debit_credit.default_params in
-        reset ();
-        let r =
-          Measure.run ~clock:I.clock ~finish:I.finish ~warmup ~iters (fun _ ->
-              W.transaction db rng)
-        in
-        assert (W.consistent db);
-        r
-    | `Order_entry ->
-        let module W = Workloads.Order_entry.Make (I.E) in
-        let rng = Sim.Rng.create 11 in
-        let db = W.setup I.engine ~params:Workloads.Order_entry.default_params in
-        reset ();
-        let r =
-          Measure.run ~clock:I.clock ~finish:I.finish ~warmup ~iters (fun _ ->
-              W.transaction db rng)
-        in
-        assert (W.consistent db);
-        r
-  in
+  let r = Measure.workload ~reset inst mix ~warmup ~iters in
   let pkts =
     Option.map
       (fun n ->
@@ -107,95 +74,47 @@ let measure (inst, nic, attach_tail) workload =
   let phase_p99 = match !tail with Some t -> Trace.Tail.phase_p99s t | None -> [] in
   (r, pkts, phase_p99)
 
-(* Concurrency cell: debit-credit under 8 interleaved clients at one
-   mirror, batching two client rounds per group-commit flush (the R9
-   protocol).  Only debit-credit is meaningful here, so the cell sits
-   outside the engine x workload matrix above; its packet gate is what
-   keeps the group-commit schedule honest at load — pkts/txn creeping
-   up under concurrency fails CI even when the eager cells stay flat. *)
+(* Concurrency cell: the R9 experiment's cell (debit-credit under 8
+   interleaved clients at one mirror, two client rounds per
+   group-commit flush) over a longer window.  Only debit-credit is
+   meaningful here, so the cell sits outside the engine x workload
+   matrix above; its packet gate is what keeps the group-commit
+   schedule honest at load — pkts/txn creeping up under concurrency
+   fails CI even when the eager cells stay flat. *)
 let concurrency_clients = 8
 
 let concurrent_entry () =
-  let config = { Perseas.default_config with group_commit = 2 * concurrency_clients } in
-  let bed = T.replicated_bed ~config ~mirrors:1 () in
-  let t = bed.T.perseas in
-  let module W = Workloads.Debit_credit.Make (Perseas.Engine) in
-  let rng = Sim.Rng.create 97 in
-  (* The R9 experiment's sizing: enough branches that concurrent draws
-     are mostly disjoint.  At the default scale (one branch) every
-     transaction hits the same branch line and the cell measures
-     conflict retries, not the group-commit schedule it gates. *)
-  let params =
-    {
-      Workloads.Debit_credit.scale = 1024;
-      accounts_per_branch = 250;
-      history_slots = 8192;
-      skew = Workloads.Debit_credit.Uniform;
-    }
+  let c =
+    Experiments.concurrency_cell ~mirrors:1 ~clients:concurrency_clients ~warmup:1_000
+      ~txns:10_000
   in
-  let db = W.setup t ~params in
-  let spec =
-    {
-      Multi_client.prepare = (fun _ -> W.draw db rng);
-      declare = (fun txn d -> W.declare db txn d);
-      apply = (fun d -> W.apply db d);
-    }
-  in
-  ignore (Multi_client.run t ~clients:concurrency_clients ~total:1_000 spec);
-  let nic = Cluster.nic bed.T.cluster in
-  Sci.Nic.reset_counters nic;
-  let t0 = Sim.Clock.now bed.T.clock in
-  let s = Multi_client.run t ~clients:concurrency_clients ~total:10_000 spec in
-  let elapsed_us = Sim.Time.to_us (Sim.Clock.now bed.T.clock - t0) in
-  assert (W.consistent db);
-  let c = Sci.Nic.counters nic in
-  let amortized_us = elapsed_us /. float_of_int s.Multi_client.committed in
+  let amortized_us = c.Experiments.cc_elapsed_us /. float_of_int c.Experiments.cc_committed in
   {
     engine = Printf.sprintf "PERSEAS-c%d" concurrency_clients;
     workload = "debit-credit";
     mirrors = 1;
-    tps = float_of_int s.Multi_client.committed *. 1e6 /. elapsed_us;
+    tps = c.Experiments.cc_tps;
     (* Per-transaction latency percentiles are not defined under group
        commit (commit returns before the batch propagates), so both
        latency columns carry the amortized per-transaction cost. *)
     mean_us = amortized_us;
     p99_us = amortized_us;
-    pkts_per_txn =
-      Some
-        (float_of_int (c.Sci.Nic.packets64 + c.Sci.Nic.packets16)
-        /. float_of_int s.Multi_client.committed);
+    pkts_per_txn = Some c.Experiments.cc_pkts_per_txn;
     (* Per-phase percentiles are as undefined as the latency columns
        here: phases of staged transactions land in the convoy's window. *)
     phase_p99 = [];
   }
 
-(* Recovery-time cell: a checkpointed debit-credit database loses its
-   primary and is rebuilt on the checkpoint target's node from the slot
-   plus the mirror tail.  tps is recoveries/second and both latency
-   columns carry the recovery time itself, so the debit-credit tps gate
-   also fails CI when checkpointed recovery slows by more than the
-   tolerance. *)
+(* Recovery-time cell: the checkpoint-recovery cycle (a checkpointed
+   debit-credit database loses its primary and is rebuilt on the
+   checkpoint target's node from the slot plus the mirror tail).  tps
+   is recoveries/second and both latency columns carry the recovery
+   time itself, so the debit-credit tps gate also fails CI when
+   checkpointed recovery slows by more than the tolerance. *)
 let checkpoint_entry () =
-  let { Testbed.clock; cluster; server; ckpt_server; perseas = t } = Testbed.checkpoint_bed () in
-  let module W = Workloads.Debit_credit.Make (Perseas.Engine) in
-  let rng = Sim.Rng.create 7 in
-  let db = W.setup t ~params:Workloads.Debit_credit.default_params in
-  Perseas.Checkpoint.set_ram_target t ~server:ckpt_server;
-  for _ = 1 to 2_000 do
-    W.transaction db rng
-  done;
-  ignore (Perseas.Checkpoint.take t);
-  for _ = 1 to 200 do
-    W.transaction db rng
-  done;
-  ignore (Cluster.crash_node cluster 0 Cluster.Failure.Software_error);
-  let t0 = Sim.Clock.now clock in
-  let t2 =
-    Perseas.recover_replicated ~config:(Perseas.config t)
-      ~checkpoint:(Perseas.Ram_source ckpt_server) ~cluster ~local:2 ~servers:[ server ] ()
-  in
-  let recovery_us = Sim.Time.to_us (Sim.Clock.now clock - t0) in
-  assert (Perseas.verify_mirrors t2 = []);
+  let c = Experiments.checkpoint_cycle ~txns:2_000 ~tail:200 in
+  assert c.Experiments.mirrors_clean;
+  let recovery_us = c.Experiments.recovery_us in
   {
     engine = "PERSEAS-ckpt";
     workload = "debit-credit";
@@ -246,11 +165,11 @@ let collect () =
   List.concat_map
     (fun (engine, mirrors, make) ->
       List.map
-        (fun w ->
-          let r, pkts, phase_p99 = measure (make ()) w in
+        (fun (workload, mix) ->
+          let r, pkts, phase_p99 = measure (make ()) mix in
           {
             engine;
-            workload = workload_label w;
+            workload;
             mirrors;
             tps = r.Measure.tps;
             mean_us = r.Measure.mean_us;

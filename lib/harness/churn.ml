@@ -90,35 +90,29 @@ let check r =
 let run ?(params = default_params) ?telemetry ?postmortem ?sink () =
   if params.mirrors < 1 then invalid_arg "Churn.run: at least one mirror";
   if params.spares < 1 then invalid_arg "Churn.run: at least one spare";
-  let clock = Clock.create () in
   let pool = params.mirrors + params.spares in
   let observer = pool + 1 in
-  let names =
-    ("primary" :: List.init params.mirrors (Printf.sprintf "mirror%d"))
-    @ List.init params.spares (Printf.sprintf "spare%d")
-    @ [ "observer" ]
-    (* The checkpoint target rides a node of its own, after the
-       observer so every id in the checkpoint-free layout is
-       unchanged.  It is never a churn victim (victims are drawn from
-       live mirrors only): losing it is Checkpoint's own concern,
-       exercised by the Crashpoint Ckpt_target sweep. *)
-    @ (if params.checkpoint_interval = None then [] else [ "ckpt" ])
+  let bed =
+    Testbed.make ~dram_mb:4 ~mirrors:params.mirrors
+      ~extras:
+        (List.init params.spares (Printf.sprintf "spare%d")
+        @ [ "observer" ]
+        (* The checkpoint target rides a node of its own, after the
+           observer so every id in the checkpoint-free layout is
+           unchanged.  It is never a churn victim (victims are drawn
+           from live mirrors only): losing it is Checkpoint's own
+           concern, exercised by the Crashpoint Ckpt_target sweep. *)
+        @ if params.checkpoint_interval = None then [] else [ "ckpt" ])
+      ()
   in
-  let specs =
-    List.mapi (fun i n -> Cluster.spec ~dram_size:(4 * 1024 * 1024) ~power_supply:i n) names
-  in
-  let cluster = Cluster.create ~clock specs in
+  let ({ clock; cluster; perseas = t; _ } : Testbed.bed) = bed in
   (* Current server per pool node; a crashed node gets a fresh one on
      restart (the old exports are gone with its DRAM). *)
   let servers = Hashtbl.create 8 in
-  for id = 1 to pool do
+  List.iteri (fun i s -> Hashtbl.replace servers (i + 1) s) bed.servers;
+  for id = params.mirrors + 1 to pool do
     Hashtbl.replace servers id (Netram.Server.create (Cluster.node cluster id))
   done;
-  let clients =
-    List.init params.mirrors (fun i ->
-        Netram.Client.create ~cluster ~local:0 ~server:(Hashtbl.find servers (i + 1)))
-  in
-  let t = P.init_replicated clients in
   (* The flight recorder watches the whole run — workload, failures,
      repairs, the final recovery — through one bounded ring + monitor.
      A pure observer: postmortem-on runs are byte-identical to
@@ -159,7 +153,7 @@ let run ?(params = default_params) ?telemetry ?postmortem ?sink () =
      scheduling decisions to a telemetry-off run — the observer can
      never perturb the experiment, only watch it. *)
   let tel_events = Events.create clock in
-  let server_label id = List.nth names id in
+  let server_label id = Cluster.Node.name (Cluster.node cluster id) in
   (match telemetry with
   | None -> ()
   | Some (tel, interval) ->
@@ -326,17 +320,7 @@ let run ?(params = default_params) ?telemetry ?postmortem ?sink () =
       ~cluster ~local:observer ~servers:candidate_servers ()
   in
   let committed_data_preserved = signature t2 = pre in
-  let db2 =
-    {
-      db with
-      W.engine = t2;
-      W.accounts = Option.get (P.segment t2 "accounts");
-      W.tellers = Option.get (P.segment t2 "tellers");
-      W.branches = Option.get (P.segment t2 "branches");
-      W.history = Option.get (P.segment t2 "history");
-    }
-  in
-  let recovered_consistent = W.consistent db2 in
+  let recovered_consistent = W.consistent (W.rebind db t2) in
   (* Degraded windows, from the supervisor's event log: a window opens
      when the factor first drops below target and closes with the
      recruitment that restores it. *)

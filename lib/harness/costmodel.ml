@@ -89,9 +89,7 @@ type t = {
   mutable alerts : drift list; (* newest first *)
   mutable nchecked : int;
   mutable predicted_total : cost;
-  mutable measured_total : cost;
   mutable unattributed : cost;
-  mutable discarded : int;
   class_pred : (string, cost) Hashtbl.t;
   class_meas : (string, cost) Hashtbl.t;
 }
@@ -118,9 +116,7 @@ let create ?(tolerance_pkts = 0) ?(tracking = false) ?(on_drift = fun _ -> ())
     alerts = [];
     nchecked = 0;
     predicted_total = cost_zero;
-    measured_total = cost_zero;
     unattributed = cost_zero;
-    discarded = 0;
     class_pred = Hashtbl.create 8;
     class_meas = Hashtbl.create 8;
   }
@@ -298,14 +294,8 @@ let on_abort t args =
   match List.assoc_opt "txn" args with
   | None -> ()
   | Some id ->
-      if Hashtbl.mem t.txns id then begin
-        Hashtbl.remove t.txns id;
-        t.discarded <- t.discarded + 1
-      end;
-      if List.mem_assoc id t.staged then begin
-        t.staged <- List.remove_assoc id t.staged;
-        t.discarded <- t.discarded + 1
-      end;
+      Hashtbl.remove t.txns id;
+      t.staged <- List.remove_assoc id t.staged;
       (* Any packets the aborted transaction already pushed will never
          be fenced; drop them from the per-unit ledger so they don't
          leak into a later unit with the same key. *)
@@ -449,7 +439,6 @@ let on_packet t (e : Trace.Event.t) =
             let predicted = unit_total u in
             t.nchecked <- t.nchecked + 1;
             t.predicted_total <- cost_add t.predicted_total predicted;
-            t.measured_total <- cost_add t.measured_total total;
             class_bump t.class_pred "undo" u.u_undo;
             class_bump t.class_pred "data" u.u_data;
             class_bump t.class_pred "segmeta" u.u_segmeta;
@@ -483,10 +472,9 @@ let on_event t (e : Trace.Event.t) = if e.Trace.Event.cat = "sci" then on_packet
 
 let sink t = Trace.Sink.observer ~on_span:(on_span t) ~on_event:(on_event t)
 
-(* Hand-feed hooks, mirroring [Trace.Monitor] — the seeded-mutation
-   tests replay corrupted streams through these. *)
-let span = on_span
-let event t (e : Trace.Event.t) = on_event t e
+(* Hand-feed hook, mirroring [Trace.Monitor] — the seeded-mutation
+   tests replay corrupted streams through it. *)
+let event = on_event
 
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)
@@ -495,9 +483,7 @@ let alerts t = List.rev t.alerts
 let drift_count t = List.length t.alerts
 let units_checked t = t.nchecked
 let predicted_total t = t.predicted_total
-let measured_total t = t.measured_total
 let unattributed t = t.unattributed
-let discarded t = t.discarded
 
 let pending t =
   Hashtbl.length t.txns + List.length t.staged

@@ -25,13 +25,8 @@
 
 type cost = { pkts64 : int; pkts16 : int; bytes : int }
 
-val cost_zero : cost
-val cost_add : cost -> cost -> cost
-
 val cost_packets : cost -> int
 (** Total packets of both kinds. *)
-
-val pp_cost : Format.formatter -> cost -> unit
 
 type drift = {
   d_unit : string;  (** Commit-unit key: ["t<id>"] (eager) or ["c<n>"] (convoy). *)
@@ -64,11 +59,9 @@ val sink : t -> Trace.Sink.t
     recording ring (attach after setup, and reset the NIC counters at
     the same point if window totals will be compared). *)
 
-val span : t -> Trace.Span.t -> unit
-(** Feed one span by hand — the seeded-mutation tests replay corrupted
-    streams through these. *)
-
 val event : t -> Trace.Event.t -> unit
+(** Feed one event by hand — the seeded-mutation tests replay corrupted
+    streams through it. *)
 
 val alerts : t -> drift list
 (** Oldest first. *)
@@ -83,13 +76,9 @@ val predicted_total : t -> cost
     unattributed traffic this equals the NIC counter delta over the
     window. *)
 
-val measured_total : t -> cost
 val unattributed : t -> cost
 (** Traffic carrying no commit-unit key (reads, recovery, checkpoint
     pushes, setup) — assert zero over a steady-state window. *)
-
-val discarded : t -> int
-(** Aborted transactions whose pending predictions were dropped. *)
 
 val pending : t -> int
 (** Open or staged transactions plus unfenced (unit, node) ledgers —

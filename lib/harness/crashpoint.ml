@@ -187,10 +187,14 @@ let run_primary_point ?(attach = fun (_ : env) -> ()) ?(recovery_sink = Trace.Si
   end
 
 (* ------------------------------------------------------------------ *)
-(* Mirror-victim point: the primary survives; a mirror node dies just
-   before packet [k] goes out.  The library must either finish the
-   script degraded or — when the victim was the last mirror — roll the
-   transaction back, raise All_mirrors_lost, and stay usable. *)
+(* Node-death point: the primary survives; a mirror or the checkpoint
+   target dies just before packet [k] goes out.  Losing a mirror, the
+   library must either finish the script degraded or — when the victim
+   was the last mirror — roll the transaction back, raise
+   All_mirrors_lost, and stay usable.  Losing the checkpoint target must
+   cost nothing: checkpointing is an optimisation, never a durability
+   requirement, so checkpoint operations degrade to typed no-ops
+   (Target_lost is caught by the scenario) while every commit lands. *)
 
 (* A transaction that moves no data: declaring and committing one range
    forces a plan against every mirror, so a death that fell between
@@ -208,14 +212,24 @@ let probe env =
          (no-op for eager engines — the queue is empty). *)
       P.flush env.t
 
-let run_mirror_point ?(attach = fun (_ : env) -> ()) scenario ~pre ~checkpoints ~post ~k
-    ~mirror_index =
+let run_node_point ?(attach = fun (_ : env) -> ()) scenario ~pre ~checkpoints ~post ~k ~victim =
   let env = scenario.make () in
   attach env;
-  let victim_node =
-    match List.nth_opt (P.mirrors env.t) mirror_index with
-    | Some mi -> mi.P.node_id
-    | None -> invalid_arg "Crashpoint.sweep: mirror index out of range"
+  let victim_node, what =
+    match victim with
+    | Mirror i -> (
+        match List.nth_opt (P.mirrors env.t) i with
+        | Some mi -> (mi.P.node_id, "mirror death")
+        | None -> invalid_arg "Crashpoint.sweep: mirror index out of range")
+    | Ckpt_target -> (
+        match env.ckpt with
+        | Some s -> (Node.id (Netram.Server.node s), "checkpoint-target death")
+        | None -> invalid_arg "Crashpoint.sweep: scenario has no checkpoint target")
+    | Primary -> invalid_arg "Crashpoint.run_node_point: the primary is not a bystander"
+  in
+  (* Only a mirror's death may cost the library its last mirror. *)
+  let all_lost f =
+    match f () with () -> false | exception P.All_mirrors_lost when victim <> Ckpt_target -> true
   in
   let epoch_before = P.epoch env.t in
   let sent = ref 0 in
@@ -228,24 +242,22 @@ let run_mirror_point ?(attach = fun (_ : env) -> ()) scenario ~pre ~checkpoints 
            ignore (Cluster.crash_node env.cluster victim_node Cluster.Failure.Hardware_error)
          end;
          incr sent));
-  let all_lost =
-    match scenario.script env ~checkpoint:(fun () -> ()) with
-    | () -> false
-    | exception P.All_mirrors_lost -> true
-  in
+  let lost = all_lost (fun () -> scenario.script env ~checkpoint:(fun () -> ())) in
   P.set_packet_hook env.t None;
-  let all_lost =
-    all_lost || (match probe env with () -> false | exception P.All_mirrors_lost -> true)
-  in
+  let lost = lost || all_lost (fun () -> probe env) in
   let image =
     match classify ~pre ~checkpoints ~post (signature env.t) with
     | Some img -> img
     | None ->
-        violation "%s: mirror death at packet %d left the local database in an illegal state"
-          scenario.label k
+        violation "%s: %s at packet %d left the database in an illegal state" scenario.label what k
   in
+  (* Losing the target must never cost committed data: the script ran
+     every commit, so the surviving database must be the post-image. *)
+  if victim = Ckpt_target && !killed && image <> Post then
+    violation "%s: checkpoint-target death at packet %d lost committed data (image %s)"
+      scenario.label k (image_label image);
   let recovery_us =
-    if all_lost then begin
+    if lost then begin
       (* The guard must have closed the wounded transaction: the
          library is still usable, and a fresh mirror restores
          recoverability. *)
@@ -259,8 +271,7 @@ let run_mirror_point ?(attach = fun (_ : env) -> ()) scenario ~pre ~checkpoints 
   let epoch_after = P.epoch env.t in
   check_epoch scenario.label ~epoch_before ~epoch_after;
   let mismatches =
-    check_clean_mirrors scenario.label env.t
-      ~where:(Printf.sprintf "after mirror death at packet %d" k)
+    check_clean_mirrors scenario.label env.t ~where:(Printf.sprintf "after %s at packet %d" what k)
   in
   {
     index = k;
@@ -275,73 +286,13 @@ let run_mirror_point ?(attach = fun (_ : env) -> ()) scenario ~pre ~checkpoints 
   }
 
 (* ------------------------------------------------------------------ *)
-(* Checkpoint-target-victim point: the node holding the checkpoint
-   slots dies just before packet [k].  Checkpointing is an optimisation,
-   never a durability requirement, so the script must run to completion
-   — checkpoint operations degrade to typed no-ops (Target_lost is
-   caught by the scenario) while every commit still lands. *)
-
-let run_ckpt_point ?(attach = fun (_ : env) -> ()) scenario ~pre ~checkpoints ~post ~k =
-  let env = scenario.make () in
-  attach env;
-  let victim_node =
-    match env.ckpt with
-    | Some s -> Node.id (Netram.Server.node s)
-    | None -> invalid_arg "Crashpoint.sweep: scenario has no checkpoint target"
-  in
-  let epoch_before = P.epoch env.t in
-  let sent = ref 0 in
-  let killed = ref false in
-  P.set_packet_hook env.t
-    (Some
-       (fun () ->
-         if !sent = k && not !killed then begin
-           killed := true;
-           ignore (Cluster.crash_node env.cluster victim_node Cluster.Failure.Hardware_error)
-         end;
-         incr sent));
-  scenario.script env ~checkpoint:(fun () -> ());
-  P.set_packet_hook env.t None;
-  probe env;
-  let image =
-    match classify ~pre ~checkpoints ~post (signature env.t) with
-    | Some img -> img
-    | None ->
-        violation "%s: checkpoint-target death at packet %d left the database in an illegal state"
-          scenario.label k
-  in
-  (* Losing the target must never cost committed data: the script ran
-     every commit, so the surviving database must be the post-image. *)
-  if !killed && image <> Post then
-    violation "%s: checkpoint-target death at packet %d lost committed data (image %s)"
-      scenario.label k (image_label image);
-  let epoch_after = P.epoch env.t in
-  check_epoch scenario.label ~epoch_before ~epoch_after;
-  let mismatches =
-    check_clean_mirrors scenario.label env.t
-      ~where:(Printf.sprintf "after checkpoint-target death at packet %d" k)
-  in
-  {
-    index = k;
-    crashed = !killed;
-    image;
-    replayed_records = 0;
-    replayed_bytes = 0;
-    recovery_us = 0.;
-    epoch_before;
-    epoch_after;
-    mismatches;
-  }
-
-(* ------------------------------------------------------------------ *)
 
 let sweep ?(victim = Primary) ?postmortem scenario =
   let total, pre, checkpoints, post = dry_run scenario in
   let run_point ?attach ?recovery_sink k =
     match victim with
     | Primary -> run_primary_point ?attach ?recovery_sink scenario ~pre ~checkpoints ~post ~k ~total
-    | Mirror i -> run_mirror_point ?attach scenario ~pre ~checkpoints ~post ~k ~mirror_index:i
-    | Ckpt_target -> run_ckpt_point ?attach scenario ~pre ~checkpoints ~post ~k
+    | victim -> run_node_point ?attach scenario ~pre ~checkpoints ~post ~k ~victim
   in
   let points =
     List.init (total + 1) (fun k ->
@@ -410,20 +361,20 @@ let seed_segment t name ~size =
   P.write t seg ~off:0 (Bytes.init size (fun i -> Char.chr ((i * 7 + salt) land 0xff)));
   seg
 
-(* Cluster geometry shared by the canned scenarios: primary on node 0,
-   mirrors on 1..m, then [extras] named nodes, then the spare last —
-   every node on its own power supply so failures are independent. *)
-let make_cluster ?(config = small_config) ~mirrors ~extras () =
-  let clock = Clock.create () in
-  let dram = 2 * 1024 * 1024 in
-  let names =
-    ("primary" :: List.init mirrors (Printf.sprintf "mirror%d")) @ extras @ [ "spare" ]
-  in
-  let specs = List.mapi (fun i n -> Cluster.spec ~dram_size:dram ~power_supply:i n) names in
-  let cluster = Cluster.create ~clock specs in
-  let servers = List.init mirrors (fun i -> Netram.Server.create (Cluster.node cluster (i + 1))) in
-  let clients = List.map (fun server -> Netram.Client.create ~cluster ~local:0 ~server) servers in
-  (clock, cluster, servers, P.init_replicated ~config clients)
+(* The canned scenarios' world: a {!Testbed.make} cluster with 2 MB per
+   node and the spare last, every node on its own power supply so
+   failures are independent. *)
+let make_env ?(config = small_config) ?(extras = []) ~mirrors () =
+  let b = Testbed.make ~config ~dram_mb:2 ~extras ~spare:true ~mirrors () in
+  {
+    clock = b.clock;
+    cluster = b.cluster;
+    servers = b.servers;
+    primary = 0;
+    spare = Cluster.size b.cluster - 1;
+    ckpt = None;
+    t = b.perseas;
+  }
 
 let commit_scenario ?(mirrors = 1) ?(ranges = 3) ?(range_len = 256) ?(seg_size = 16384) () =
   if mirrors < 1 then invalid_arg "Crashpoint.commit_scenario: at least one mirror";
@@ -431,10 +382,10 @@ let commit_scenario ?(mirrors = 1) ?(ranges = 3) ?(range_len = 256) ?(seg_size =
   if range_len < 1 || range_len + ((ranges - 1) / 3 * 1024) > seg_size then
     invalid_arg "Crashpoint.commit_scenario: ranges do not fit the segments";
   let make () =
-    let clock, cluster, servers, t = make_cluster ~mirrors ~extras:[] () in
-    List.iter (fun name -> ignore (seed_segment t name ~size:seg_size)) table_names;
-    P.init_remote_db t;
-    { clock; cluster; servers; primary = 0; spare = mirrors + 1; ckpt = None; t }
+    let env = make_env ~mirrors () in
+    List.iter (fun name -> ignore (seed_segment env.t name ~size:seg_size)) table_names;
+    P.init_remote_db env.t;
+    env
   in
   (* One debit-credit-style transaction: update a slice of each table
      under a single commit, so the sweep cuts both the undo pushes and
@@ -462,11 +413,10 @@ let overlap_scenario ?(mirrors = 1) ?(elision = true) ?(seg_size = 16384) () =
   if mirrors < 1 then invalid_arg "Crashpoint.overlap_scenario: at least one mirror";
   if seg_size < 2048 then invalid_arg "Crashpoint.overlap_scenario: segment too small";
   let make () =
-    let config = { small_config with P.redundancy_elision = elision } in
-    let clock, cluster, servers, t = make_cluster ~config ~mirrors ~extras:[] () in
-    ignore (seed_segment t "db" ~size:seg_size);
-    P.init_remote_db t;
-    { clock; cluster; servers; primary = 0; spare = mirrors + 1; ckpt = None; t }
+    let env = make_env ~config:{ small_config with P.redundancy_elision = elision } ~mirrors () in
+    ignore (seed_segment env.t "db" ~size:seg_size);
+    P.init_remote_db env.t;
+    env
   in
   let script env ~checkpoint =
     let seg = Option.get (P.segment env.t "db") in
@@ -498,7 +448,8 @@ let overlap_scenario ?(mirrors = 1) ?(elision = true) ?(seg_size = 16384) () =
 let attach_scenario ?(mirrors = 1) ?(seg_size = 8192) () =
   if mirrors < 1 then invalid_arg "Crashpoint.attach_scenario: at least one mirror";
   let make () =
-    let clock, cluster, mirror_servers, t = make_cluster ~mirrors ~extras:[ "joiner" ] () in
+    let env = make_env ~extras:[ "joiner" ] ~mirrors () in
+    let t = env.t in
     let seg = seed_segment t "db" ~size:seg_size in
     P.init_remote_db t;
     (* A committed transaction, so old undo records exist when the
@@ -507,12 +458,12 @@ let attach_scenario ?(mirrors = 1) ?(seg_size = 8192) () =
     P.set_range txn seg ~off:0 ~len:128;
     P.write t seg ~off:0 (Bytes.make 128 'z');
     P.commit txn;
-    let joiner = Netram.Server.create (Cluster.node cluster (mirrors + 1)) in
+    let joiner = Netram.Server.create (Cluster.node env.cluster (mirrors + 1)) in
     (* The joiner comes FIRST in the recovery candidate list: a crash
        during its resync can leave it with a valid magic and an
        epoch tied with the settled mirrors but a torn segment table,
        and recovery must skip such a candidate, not abort on it. *)
-    { clock; cluster; servers = joiner :: mirror_servers; primary = 0; spare = mirrors + 2; ckpt = None; t }
+    { env with servers = joiner :: env.servers }
   in
   let script env ~checkpoint:_ = P.attach_mirror env.t ~server:(List.hd env.servers) in
   { label = Printf.sprintf "attach-%dm" mirrors; make; script }
@@ -522,10 +473,10 @@ let concurrent_scenario ?(mirrors = 1) ?(clients = 3) ?(seg_size = 16384) () =
   if clients < 2 then invalid_arg "Crashpoint.concurrent_scenario: at least two clients";
   let config = { small_config with P.group_commit = clients } in
   let make () =
-    let clock, cluster, servers, t = make_cluster ~config ~mirrors ~extras:[] () in
-    List.iter (fun name -> ignore (seed_segment t name ~size:seg_size)) table_names;
-    P.init_remote_db t;
-    { clock; cluster; servers; primary = 0; spare = mirrors + 1; ckpt = None; t }
+    let env = make_env ~config ~mirrors () in
+    List.iter (fun name -> ignore (seed_segment env.t name ~size:seg_size)) table_names;
+    P.init_remote_db env.t;
+    env
   in
   (* [clients] transactions from distinct clients flush as one batch
      while one late client stays OPEN across that flush (declared but
@@ -591,12 +542,12 @@ let checkpoint_scenario ?(mirrors = 1) ?(seg_size = 8192) () =
   if mirrors < 1 then invalid_arg "Crashpoint.checkpoint_scenario: at least one mirror";
   if seg_size < 4096 then invalid_arg "Crashpoint.checkpoint_scenario: segment too small";
   let make () =
-    let clock, cluster, servers, t = make_cluster ~mirrors ~extras:[ "ckpt" ] () in
-    List.iter (fun name -> ignore (seed_segment t name ~size:seg_size)) table_names;
-    P.init_remote_db t;
-    let ckpt = Netram.Server.create (Cluster.node cluster (mirrors + 1)) in
-    P.Checkpoint.set_ram_target t ~server:ckpt;
-    { clock; cluster; servers; primary = 0; spare = mirrors + 2; ckpt = Some ckpt; t }
+    let env = make_env ~extras:[ "ckpt" ] ~mirrors () in
+    List.iter (fun name -> ignore (seed_segment env.t name ~size:seg_size)) table_names;
+    P.init_remote_db env.t;
+    let ckpt = Netram.Server.create (Cluster.node env.cluster (mirrors + 1)) in
+    P.Checkpoint.set_ram_target env.t ~server:ckpt;
+    { env with ckpt = Some ckpt }
   in
   let script env ~checkpoint =
     (* Checkpoint operations degrade, commits do not: a dead target

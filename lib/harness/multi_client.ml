@@ -12,27 +12,6 @@ type stats = { committed : int; conflicts : int; attempts : int }
 let client_name i = Printf.sprintf "client-%d" i
 
 (* ------------------------------------------------------------------ *)
-(* Retry helper: the whole transaction in one call, retried on loss. *)
-
-let with_retries ?(max_attempts = 16) t ~client body =
-  let conflicts = ref 0 in
-  let rec go attempt =
-    let txn = Perseas.begin_transaction ~client t in
-    match
-      body txn;
-      Perseas.commit txn
-    with
-    | () -> !conflicts
-    | exception Perseas.Conflict _ when attempt < max_attempts ->
-        (* The loser is already rolled back and closed; losing to an
-           older transaction means re-running the body is the cheap
-           side of the wound-wait coin. *)
-        incr conflicts;
-        go (attempt + 1)
-  in
-  go 1
-
-(* ------------------------------------------------------------------ *)
 (* Round-robin phase driver *)
 
 type 'a spec = {

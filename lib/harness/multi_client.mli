@@ -19,13 +19,6 @@ type stats = {
 val client_name : int -> string
 (** ["client-<i>"] — the name the driver begins transactions under. *)
 
-val with_retries : ?max_attempts:int -> Perseas.t -> client:string -> (Perseas.txn -> unit) -> int
-(** Run [body] (declares and writes; no commit) under a fresh
-    transaction for [client] and commit it; on {!Perseas.Conflict} —
-    the transaction is already rolled back — begin again and re-run,
-    up to [max_attempts] (default 16) times.  Returns the number of
-    conflicts absorbed; the last attempt's [Conflict] propagates. *)
-
 type 'a spec = {
   prepare : int -> 'a;
       (** Draw one transaction's work for client [i] (consume the rng

@@ -5,9 +5,6 @@ open Sim
     supervisor's event log, CSV emission, and a [top]-style textual
     dashboard of cluster health at the end of a run. *)
 
-val default_interval : Time.t
-(** 100 us of virtual time between samples. *)
-
 val instrumented_churn :
   ?params:Churn.params ->
   ?interval:Time.t ->
@@ -30,12 +27,6 @@ type agreement = {
   matched_signals : int;  (** of those, overlapping some window *)
 }
 
-val degraded_spans :
-  target:int -> Perseas.Supervisor.event list -> (Time.t * Time.t option) list
-(** [[start, restored)] spans where the replication factor sat below
-    [target], replayed from [Mirror_lost]/[Recruited] events; an
-    unhealed window has no restoration time. *)
-
 val agreement :
   ?slack:Time.t ->
   target:int ->
@@ -56,10 +47,6 @@ val check_agreement : agreement -> unit
 val csv : tel:Trace.Timeseries.t -> string list * string list list
 (** [(header, rows)] of the full series — one row per sample, one
     column per gauge, missing gauges as 0. *)
-
-val sparkline : ?width:int -> Trace.Timeseries.t -> string -> string
-(** Eight-level block sparkline of one gauge over the run; each column
-    is the max over its bucket so narrow spikes survive. *)
 
 val top : ?tail:Trace.Tail.t -> Churn.report -> Trace.Timeseries.t -> string
 (** The dashboard: replication health, workload and healing totals,

@@ -116,9 +116,6 @@ let plan_convoy t chunks =
 let write t h ~seg_off ~src_off ~len =
   Sci.Nic.run (Cluster.nic t.cluster) (plan_write t h ~seg_off ~src_off ~len)
 
-let write_raw t h ~seg_off ~src_off ~len =
-  Sci.Nic.run (Cluster.nic t.cluster) (do_plan_write t h ~seg_off ~src_off ~len)
-
 let read_to_image t (h : Remote_segment.t) ~seg_off ~dst ~dst_off ~len =
   check_handle t h "read";
   check_range h ~seg_off ~len "read";

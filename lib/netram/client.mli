@@ -57,10 +57,6 @@ val write : t -> Remote_segment.t -> seg_off:int -> src_off:int -> len:int -> un
     [src_off] into the remote segment, with the §4 64-byte-alignment
     optimisation (the widening window is the segment itself). *)
 
-val write_raw : t -> Remote_segment.t -> seg_off:int -> src_off:int -> len:int -> unit
-(** Same, but without the alignment widening — the naive memcpy used by
-    the A2 ablation. *)
-
 val plan_write : t -> ?widen:bool -> Remote_segment.t -> seg_off:int -> src_off:int -> len:int -> Sci.Nic.plan
 (** The packet-level plan of {!write}, for fault injection. *)
 

@@ -18,7 +18,6 @@ let is_alive t =
 
 let pause t = t.paused <- true
 let resume t = t.paused <- false
-let is_paused t = t.paused
 
 (* Liveness as seen by a failure detector, refreshed at sample time
    only — probing is free, so this perturbs nothing. *)

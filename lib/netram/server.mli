@@ -32,8 +32,6 @@ val pause : t -> unit
 val resume : t -> unit
 (** End a {!pause}.  A server whose node crashed stays dead. *)
 
-val is_paused : t -> bool
-
 val set_telemetry : t -> Trace.Timeseries.t -> label:string -> unit
 (** Register a sample-time probe exporting [netram.<label>.alive] and
     [netram.<label>.paused] (0/1) gauges — the server's liveness as a

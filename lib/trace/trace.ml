@@ -502,97 +502,20 @@ module Causal = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Metrics registry                                                     *)
+(* JSON string escaping, shared by the exporters                        *)
 
-module Counter = struct
-  type t = { name : string; mutable value : int }
-
-  let name c = c.name
-  let value c = c.value
-  let incr ?(by = 1) c = c.value <- c.value + by
-end
-
-module Registry = struct
-  type t = {
-    counters : (string, Counter.t) Hashtbl.t;
-    histograms : (string, Stats.Histogram.t) Hashtbl.t;
-  }
-
-  let create () = { counters = Hashtbl.create 16; histograms = Hashtbl.create 16 }
-
-  let counter t name =
-    match Hashtbl.find_opt t.counters name with
-    | Some c -> c
-    | None ->
-        let c = { Counter.name; value = 0 } in
-        Hashtbl.add t.counters name c;
-        c
-
-  let add t name n = Counter.incr ~by:n (counter t name)
-
-  let histogram t name =
-    match Hashtbl.find_opt t.histograms name with
-    | Some h -> h
-    | None ->
-        let h = Stats.Histogram.create () in
-        Hashtbl.add t.histograms name h;
-        h
-
-  let observe t name x = Stats.Histogram.add (histogram t name) x
-
-  let counters t =
-    Hashtbl.fold (fun name c acc -> (name, Counter.value c) :: acc) t.counters []
-    |> List.sort compare
-
-  let histograms t =
-    Hashtbl.fold (fun name h acc -> (name, h) :: acc) t.histograms [] |> List.sort compare
-
-  let json_escape s =
-    let b = Buffer.create (String.length s + 2) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-
-  let to_json t =
-    let b = Buffer.create 512 in
-    Buffer.add_string b "{\"counters\":{";
-    List.iteri
-      (fun i (name, v) ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b (Printf.sprintf "\"%s\":%d" (json_escape name) v))
-      (counters t);
-    Buffer.add_string b "},\"histograms\":{";
-    List.iteri
-      (fun i (name, h) ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b
-          (Printf.sprintf "\"%s\":{\"count\":%d,\"buckets\":[" (json_escape name)
-             (Stats.Histogram.count h));
-        List.iteri
-          (fun j (lo, hi, n) ->
-            if j > 0 then Buffer.add_char b ',';
-            Buffer.add_string b (Printf.sprintf "[%g,%g,%d]" lo hi n))
-          (Stats.Histogram.buckets h);
-        Buffer.add_string b "]}")
-      (histograms t);
-    Buffer.add_string b "}}";
-    Buffer.contents b
-
-  let pp ppf t =
-    List.iter (fun (name, v) -> Format.fprintf ppf "%s = %d@." name v) (counters t);
-    List.iter
-      (fun (name, h) ->
-        Format.fprintf ppf "%s (%d samples):@.%a" name (Stats.Histogram.count h)
-          Stats.Histogram.pp h)
-      (histograms t)
-end
+let json_escape s =
+  let b = Buffer.create (String.length s + 2) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* Gauges and time series                                               *)
@@ -712,7 +635,7 @@ module Timeseries = struct
           (fun i (n, (g : Gauge.t)) ->
             if i > 0 then Buffer.add_char b ',';
             Buffer.add_string b
-              (Printf.sprintf "\"%s\":{\"value\":%d,\"hwm\":%d}" (Registry.json_escape n) g.v
+              (Printf.sprintf "\"%s\":{\"value\":%d,\"hwm\":%d}" (json_escape n) g.v
                  g.hwm))
           gs);
     Buffer.add_string b "}}";
@@ -743,14 +666,6 @@ let breakdown ?cat spans =
       { phase; count; total_us; mean_us = total_us /. float_of_int count })
     !order
   |> List.sort (fun a b -> compare b.total_us a.total_us)
-
-let register_spans reg spans =
-  List.iter
-    (fun (s : Span.t) ->
-      let key = s.Span.cat ^ "." ^ s.Span.name in
-      Registry.add reg (key ^ ".count") 1;
-      Registry.observe reg (key ^ ".us") (Span.duration_us s))
-    spans
 
 (* ------------------------------------------------------------------ *)
 (* Tail attribution                                                     *)
@@ -920,7 +835,7 @@ end
 (* Exporters                                                            *)
 
 module Export = struct
-  let escape = Registry.json_escape
+  let escape = json_escape
 
   let args_json args =
     if args = [] then ""

@@ -223,42 +223,6 @@ module Causal : sig
   val render_all : timeline list -> string
 end
 
-(** {1 Metrics registry} *)
-
-module Counter : sig
-  type t
-
-  val name : t -> string
-  val value : t -> int
-  val incr : ?by:int -> t -> unit
-end
-
-module Registry : sig
-  type t
-  (** Named monotonic counters plus one {!Stats.Histogram} per named
-      distribution; both are find-or-create by name. *)
-
-  val create : unit -> t
-
-  val counter : t -> string -> Counter.t
-  val add : t -> string -> int -> unit
-  (** [add t name n] bumps counter [name] by [n] (creating it). *)
-
-  val histogram : t -> string -> Stats.Histogram.t
-  val observe : t -> string -> float -> unit
-  (** [observe t name x] adds [x] to histogram [name] (creating it). *)
-
-  val counters : t -> (string * int) list
-  (** Sorted by name. *)
-
-  val histograms : t -> (string * Stats.Histogram.t) list
-  val to_json : t -> string
-  (** Snapshot as one JSON object: counter values and, per histogram,
-      count plus non-empty buckets. *)
-
-  val pp : Format.formatter -> t -> unit
-end
-
 (** {1 Gauges and time series}
 
     Counters only go up; gauges hold the {e current} level of something
@@ -341,10 +305,6 @@ type phase_stat = { phase : string; count : int; total_us : float; mean_us : flo
 val breakdown : ?cat:string -> Span.t list -> phase_stat list
 (** Aggregate spans by name, restricted to category [cat] when given;
     descending by [total_us]. *)
-
-val register_spans : Registry.t -> Span.t list -> unit
-(** Fold spans into a registry: counter ["<cat>.<name>.count"] and
-    histogram ["<cat>.<name>.us"] per span. *)
 
 (** {1 Tail attribution} *)
 

@@ -173,6 +173,17 @@ module Make (E : Perseas.Txn_intf.S) = struct
     let b = sum_balances db db.branches db.n_branches in
     a = t && t = b
 
+  let rebind db engine =
+    let table name = Option.get (E.find_segment engine name) in
+    {
+      db with
+      engine;
+      accounts = table "accounts";
+      tellers = table "tellers";
+      branches = table "branches";
+      history = table "history";
+    }
+
   let checksum db =
     List.fold_left
       (fun acc (seg, n) -> Int64.logxor acc (Util.fnv64 (E.read db.engine seg ~off:0 ~len:n)))

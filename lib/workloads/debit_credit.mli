@@ -91,4 +91,8 @@ module Make (E : Perseas.Txn_intf.S) : sig
       balance totals are equal. *)
 
   val checksum : db -> int64
+
+  val rebind : db -> E.t -> db
+  (** The same bank on [engine], a recovered copy of [db]'s engine: the
+      four tables are looked up again by name. *)
 end

@@ -21,7 +21,7 @@ let run_cell ~mirrors ~elision ~group ~txns =
   let config =
     { P.default_config with P.redundancy_elision = elision; group_commit = group }
   in
-  let bed = T.replicated_bed ~config ~mirrors () in
+  let bed = T.make ~config ~mirrors () in
   let t = bed.T.perseas in
   let module W = Workloads.Debit_credit.Make (P.Engine) in
   let rng = Rng.create 7 in
@@ -74,7 +74,7 @@ let test_zero_drift () =
    record and 200-byte commit run (widened 64-byte lines vs a raw
    3x64+2x16 split), so the very first fence must raise drift. *)
 let test_flipped_memcpy_drifts () =
-  let bed = T.replicated_bed ~mirrors:1 () in
+  let bed = T.make ~mirrors:1 () in
   let t = bed.T.perseas in
   let nic = Cluster.nic bed.T.cluster in
   let seg = P.malloc t ~name:"mut" ~size:4096 in

@@ -23,7 +23,6 @@ let () =
       ("file-meta", Test_file_meta.suite);
       ("kvstore", Test_kvstore.suite);
       ("btree", Test_btree.suite);
-      ("pqueue", Test_pqueue.suite);
       ("engines-generic", Test_engines_generic.suite);
       ("trace", Test_trace.suite);
       ("tail", Test_tail.suite);

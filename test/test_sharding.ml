@@ -241,6 +241,16 @@ let test_failover () =
     (r.S.f_before.Harness.Multi_client.ss_cross_committed > 0
     && r.S.f_after.Harness.Multi_client.ss_cross_committed > 0)
 
+(* The CLI's default bank (10 branches split four ways: a 20 MB
+   accounts table per shard) does not fit 16 MB nodes; the failover bed
+   must size its nodes from the bank it is given. *)
+let test_failover_cli_params () =
+  let params = Harness.Experiments.sharding_params ~shards:4 () in
+  let r = S.failover ~shards:2 ~params () in
+  check_bool "committed data preserved" true r.S.f_data_preserved;
+  check_bool "consistent before and after" true r.S.f_consistent;
+  check_int "no monitor alerts" 0 r.S.f_alerts
+
 let run_sweep scenario =
   let r = CP.sweep scenario in
   check_bool "swept some packets" true (r.CP.total_packets > 0);
@@ -286,6 +296,7 @@ let suite =
     Alcotest.test_case "monitor: STAR rule" `Quick test_monitor_cross_rule;
     Alcotest.test_case "heal does not block other shards" `Quick test_heal_does_not_block_other_shards;
     Alcotest.test_case "shard failover oracle" `Quick test_failover;
+    Alcotest.test_case "shard failover at the CLI's default bank" `Quick test_failover_cli_params;
     Alcotest.test_case "crashpoint: shard commit" `Quick test_shard_commit_sweep;
     Alcotest.test_case "crashpoint: phase fence" `Quick test_shard_fence_sweep;
     Alcotest.test_case "crashpoint: shard mirror death" `Quick test_shard_mirror_sweep;

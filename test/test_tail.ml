@@ -138,7 +138,7 @@ let test_flow_export () =
 (* End to end: a measured run feeds the tail through Measure           *)
 
 let test_measure_integration () =
-  let bed = Harness.Testbed.replicated_bed ~mirrors:2 () in
+  let bed = Harness.Testbed.make ~mirrors:2 () in
   let t = bed.Harness.Testbed.perseas in
   let module W = Workloads.Debit_credit.Make (Perseas.Engine) in
   let rng = Rng.create 7 in

@@ -183,17 +183,6 @@ let test_emitted_json_parses () =
       check_int ("gauge " ^ String.escaped name) v (int_of_float (num_exn "value" g));
       check_int "hwm" v (int_of_float (num_exn "hwm" g)))
     [ ("plain", 1); ({|quote"inside|}, 2); ({|back\slash|}, 3); ("new\nline", 4); ("tab\tcol", 5) ];
-  (* Registry snapshot: counters and a histogram, same treatment. *)
-  let r = Trace.Registry.create () in
-  Trace.Registry.add r {|ops"total|} 7;
-  Trace.Registry.add r "plain_ops" 3;
-  Trace.Registry.observe r "lat\\us" 1.5;
-  let j =
-    match J.parse (Trace.Registry.to_json r) with
-    | Ok j -> j
-    | Error e -> Alcotest.failf "Registry.to_json unparseable: %s" e
-  in
-  check_int "escaped counter" 7 (int_of_float (num_exn {|ops"total|} (J.member_exn "counters" j)));
   (* Engine stats: the new fields must be present and numeric. *)
   let _, _, t = mini_bed () in
   let j =

@@ -231,7 +231,7 @@ let test_recovery_spans () =
   | _ -> Alcotest.fail "no recovery spans")
 
 (* ------------------------------------------------------------------ *)
-(* Breakdown, registry, exporters, Measure integration *)
+(* Breakdown, exporters, Measure integration *)
 
 let test_breakdown () =
   let mk name start stop =
@@ -250,26 +250,6 @@ let test_breakdown () =
       check_string "then begin" "begin" b.Trace.phase
   | l -> Alcotest.failf "expected two phases, got %d" (List.length l));
   check_int "unrestricted sees both cats" 3 (List.length (Trace.breakdown spans))
-
-let test_registry () =
-  let r = Trace.Registry.create () in
-  Trace.Counter.incr (Trace.Registry.counter r "txn.commit.count");
-  Trace.Registry.add r "txn.commit.count" 2;
-  Trace.Registry.observe r "txn.commit.us" 3.5;
-  Trace.Registry.observe r "txn.commit.us" 40.;
-  check (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int)) "counters"
-    [ ("txn.commit.count", 3) ]
-    (Trace.Registry.counters r);
-  check_int "histogram fed" 2 (Stats.Histogram.count (Trace.Registry.histogram r "txn.commit.us"));
-  let json = Trace.Registry.to_json r in
-  check_bool "json names counter" true
-    (contains json "txn.commit.count");
-  (* Folding spans into a registry builds the same names. *)
-  let r2 = Trace.Registry.create () in
-  Trace.register_spans r2
-    [ { Trace.Span.name = "commit"; cat = "txn"; start = 0; stop = 2_000; args = [] } ];
-  check_int "register_spans counter" 1
-    (Trace.Counter.value (Trace.Registry.counter r2 "txn.commit.count"))
 
 let test_chrome_export () =
   let b, seg = with_db ~k:2 () in
@@ -320,7 +300,6 @@ let suite =
     ("supervisor instants", `Quick, test_supervisor_instants);
     ("recovery phase spans", `Quick, test_recovery_spans);
     ("breakdown aggregation", `Quick, test_breakdown);
-    ("metrics registry", `Quick, test_registry);
     ("chrome json export", `Quick, test_chrome_export);
     ("Measure.run per-phase breakdown", `Quick, test_measure_phases);
   ]
