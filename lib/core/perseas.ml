@@ -519,14 +519,9 @@ let malloc t ~name ~size =
   t.segs <- seg :: t.segs;
   seg
 
-(* Run a transfer plan packet by packet, giving the fault-injection
-   hook a chance to "crash the node" before each packet goes out. *)
-let run_plan t plan =
-  List.iter
-    (fun step ->
-      (match t.hook with Some f -> f () | None -> ());
-      Sci.Nic.apply_step (Cluster.nic t.cluster) step)
-    (Sci.Nic.plan_steps plan)
+(* Run a transfer plan, giving the fault-injection hook a chance to
+   "crash the node" before each packet goes out. *)
+let run_plan t plan = Sci.Nic.apply ?before:t.hook (Cluster.nic t.cluster) plan
 
 (* Per-segment modification epochs are maintained locally for free but
    written into the remote metadata only while a checkpoint target is
@@ -1275,7 +1270,7 @@ let dry_run t f =
   Array.iteri
     (fun i m ->
       if m.m_alive then
-        List.iter (fun plan -> count := !count + List.length (Sci.Nic.plan_steps plan)) (f i m))
+        List.iter (fun plan -> count := !count + Sci.Nic.plan_packets plan) (f i m))
     t.mirrors;
   !count
 

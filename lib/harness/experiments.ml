@@ -29,13 +29,13 @@ let fig5 () =
   let rows =
     List.init 50 (fun i ->
         let size = 4 * (i + 1) in
-        let pkts = Sci.Packet.of_range p ~off:0 ~len:size in
+        let full64, part16 = Sci.Packet.counts p ~off:0 ~len:size in
         let lat0 = Sci.Model.write_range p ~off:0 ~len:size () in
         let lat15 = Sci.Model.write_range p ~off:60 ~len:size () in
         [
           string_of_int size;
-          string_of_int (Sci.Packet.count Sci.Packet.Full64 pkts);
-          string_of_int (Sci.Packet.count Sci.Packet.Part16 pkts);
+          string_of_int full64;
+          string_of_int part16;
           Table.fmt_us (Time.to_us lat0);
           Table.fmt_us (Time.to_us lat15);
         ])

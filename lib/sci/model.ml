@@ -1,42 +1,51 @@
 open Sim
 
-let hop_cost (p : Params.t) hops =
+type dir = Write | Read
+
+(* What a burst's first packet pays on top of its own cost. *)
+let overhead (p : Params.t) ~hops dir =
   if hops < 1 then invalid_arg "Model: hops must be >= 1";
-  (hops - 1) * p.t_hop
+  (match dir with Write -> p.t_base | Read -> p.t_read_base) + ((hops - 1) * p.t_hop)
 
-let write_burst (p : Params.t) ?(hops = 1) pkts ~ends_on_last_word =
-  match pkts with
-  | [] -> Time.zero
-  | _ ->
-      let full64 = Packet.count Full64 pkts and part16 = Packet.count Part16 pkts in
-      let cost64 =
-        if full64 = 0 then 0
-        else p.t_pkt64_first + ((full64 - 1) * p.t_pkt64_stream)
-      in
-      let cost16 = part16 * p.t_pkt16 in
-      let bonus = if ends_on_last_word then p.t_lastword_bonus else Time.zero in
-      p.t_base + cost64 + cost16 + hop_cost p hops - bonus
+let packet (p : Params.t) dir ~streamed (kind : Packet.kind) =
+  match (dir, kind) with
+  | Write, Part16 -> p.t_pkt16
+  | Write, Full64 -> if streamed then p.t_pkt64_stream else p.t_pkt64_first
+  (* A partial sub-block read costs a full request/response, modelled
+     at the first-packet read rate scaled to the sub-block. *)
+  | Read, Part16 -> 2 * p.t_pkt16
+  | Read, Full64 -> if streamed then p.t_read_pkt64_stream else p.t_read_pkt64_first
 
-let write_range p ?hops ~off ~len () =
-  if len = 0 then Time.zero
+let charge (p : Params.t) ~hops dir ~first ~bonus ~streamed kind =
+  Int.max Time.zero
+    (packet p dir ~streamed kind
+    + (if first then overhead p ~hops dir else Time.zero)
+    - if bonus then p.t_lastword_bonus else Time.zero)
+
+let burst p ~hops dir ~full64 ~part16 ~last ~bonus =
+  let n = full64 + part16 in
+  let extra = overhead p ~hops dir in
+  if n = 0 then Time.zero
   else
-    write_burst p ?hops
-      (Packet.of_range p ~off ~len)
-      ~ends_on_last_word:(Packet.ends_on_last_word p ~off ~len)
+    (* Only the last packet can clamp, so the others sum in closed
+       form: the first pays the burst overhead, the first Full64 the
+       pipeline fill, the remaining Full64s stream. *)
+    let last_full = match (last : Packet.kind) with Full64 -> 1 | Part16 -> 0 in
+    let f = full64 - last_full in
+    (if n > 1 then extra else Time.zero)
+    + (if f > 0 then packet p dir ~streamed:false Full64 + ((f - 1) * packet p dir ~streamed:true Full64)
+       else Time.zero)
+    + ((n - 1 - f) * packet p dir ~streamed:false Part16)
+    + charge p ~hops dir ~first:(n = 1) ~bonus ~streamed:(last_full = 1 && full64 > 1) last
 
-let read_range (p : Params.t) ?(hops = 1) ~off ~len () =
-  if len < 0 then invalid_arg "Model.read_range: negative length";
-  if len = 0 then Time.zero
-  else
-    let pkts = Packet.of_range p ~off ~len in
-    let full64 = Packet.count Full64 pkts and part16 = Packet.count Part16 pkts in
-    let cost64 =
-      if full64 = 0 then 0 else p.t_read_pkt64_first + ((full64 - 1) * p.t_read_pkt64_stream)
-    in
-    (* A partial sub-block read costs a full request/response, modelled
-       at the first-packet read rate scaled to the sub-block. *)
-    let cost16 = part16 * p.t_pkt16 * 2 in
-    p.t_read_base + cost64 + cost16 + hop_cost p hops
+let range p ?(hops = 1) dir ~off ~len =
+  if off < 0 || len < 0 then invalid_arg "Model: negative range";
+  let full64, part16 = Packet.counts p ~off ~len in
+  burst p ~hops dir ~full64 ~part16 ~last:(Packet.last p ~off ~len)
+    ~bonus:(dir = Write && Packet.ends_on_last_word p ~off ~len)
+
+let write_range p ?hops ~off ~len () = range p ?hops Write ~off ~len
+let read_range p ?hops ~off ~len () = range p ?hops Read ~off ~len
 
 let local_copy (p : Params.t) n =
   if n < 0 then invalid_arg "Model.local_copy: negative length";

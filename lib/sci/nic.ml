@@ -95,10 +95,6 @@ let tag_gauge (t : t) tag =
 
 let note_rpc (t : t) = Trace.Gauge.add t.g_rpc_ops 1
 
-let note_burst (t : t) ~bytes ~pkts =
-  Trace.Gauge.set t.g_burst_bytes bytes;
-  Trace.Gauge.set t.g_burst_pkts pkts
-
 let counters (t : t) : counters =
   {
     bursts = t.bursts;
@@ -115,114 +111,84 @@ let reset_counters (t : t) =
   t.bytes_written <- 0;
   t.bytes_read <- 0
 
-type direction = Write | Read
-
-type step = {
+(* One contiguous copy of a plan: [len] bytes from [src] at [src_off]
+   to [dst] at [dst_off], cut into packets at the remote address
+   [off] (the destination offset of a write, the source offset of a
+   read). *)
+type piece = {
   src : Mem.Image.t;
   src_off : int;
   dst : Mem.Image.t;
   dst_off : int;
+  off : int;
   len : int;
-  cost : Time.t;
-  kind : Packet.kind;
-  direction : direction;
-  streamed : bool; (* a Full64 after the first of its burst *)
   tag : string; (* traffic class the caller declared, e.g. rpc vs bulk *)
 }
 
-type plan = { steps : step list; latency : Time.t; bytes : int }
+(* One burst over its non-empty [pieces], in order, with its packet
+   counts and latency in closed form. *)
+type plan = {
+  pieces : piece list;
+  dir : Model.dir;
+  hops : int;
+  bonus : bool; (* the last packet earns the last-word bonus *)
+  full64 : int;
+  part16 : int;
+  latency : Time.t;
+  bytes : int;
+}
 
-let align_down x a = x / a * a
-let align_up x a = (x + a - 1) / a * a
+(* Buffer sizes are powers of two ({!Params.validate}). *)
+let align_down x a = x land lnot (a - 1)
+let align_up x a = align_down (x + a - 1) a
 
 (* Widen [dst_off, dst_off+len) to the enclosing 64-byte aligned region,
    clamped to the window; gives the sci_memcpy behaviour of section 4. *)
 let widen (p : Params.t) ~window ~dst_off ~len =
-  let lo = max (Mem.Segment.base window) (align_down dst_off p.buffer_bytes) in
-  let hi = min (Mem.Segment.base window + Mem.Segment.len window) (align_up (dst_off + len) p.buffer_bytes) in
+  let lo = Int.max (Mem.Segment.base window) (align_down dst_off p.buffer_bytes) in
+  let hi = Int.min (Mem.Segment.base window + Mem.Segment.len window) (align_up (dst_off + len) p.buffer_bytes) in
   if lo <= dst_off && hi >= dst_off + len then (lo, hi - lo) else (dst_off, len)
 
-let step_costs (p : Params.t) ~hops ~direction ~ends_on_last_word pkts =
-  (* Distribute the burst latency over the packets so that partial
-     application (a crash mid-burst) accounts time sensibly and full
-     application matches Model.write_burst / read costs exactly. *)
-  let base, first64, stream64, pkt16 =
-    match direction with
-    | Write -> (p.t_base, p.t_pkt64_first, p.t_pkt64_stream, p.t_pkt16)
-    | Read -> (p.t_read_base, p.t_read_pkt64_first, p.t_read_pkt64_stream, 2 * p.t_pkt16)
-  in
-  let hop_extra = (hops - 1) * p.t_hop in
-  let n = List.length pkts in
-  let seen_full64 = ref false in
-  List.mapi
-    (fun i (pkt : Packet.t) ->
-      let packet_cost =
-        match pkt.kind with
-        | Packet.Part16 -> pkt16
-        | Packet.Full64 ->
-            let first = not !seen_full64 in
-            seen_full64 := true;
-            if first then first64 else stream64
-      in
-      let extra = if i = 0 then base + hop_extra else Time.zero in
-      let bonus = if i = n - 1 && ends_on_last_word then p.t_lastword_bonus else Time.zero in
-      max Time.zero (packet_cost + extra - bonus))
-    pkts
-
-let make_plan t ~hops ~direction ~tag ~src ~src_off ~dst ~dst_off ~off ~len =
+(* A write copy, packetised in destination (remote physical) address
+   space and widened when a [window] allows it. *)
+let write_piece (p : Params.t) ~tag ~window ~src ~src_off ~dst ~dst_off ~len =
   if len < 0 then invalid_arg "Nic: negative length";
-  if len = 0 then { steps = []; latency = Time.zero; bytes = 0 }
-  else begin
-    let p = t.params in
-    let pkts = Packet.of_range p ~off ~len in
-    let ends = direction = Write && Packet.ends_on_last_word p ~off ~len in
-    let costs = step_costs p ~hops ~direction ~ends_on_last_word:ends pkts in
-    let seen_full64 = ref false in
-    let steps =
-      List.map2
-        (fun (pkt : Packet.t) cost ->
-          let delta = pkt.addr - off in
-          let streamed =
-            match pkt.kind with
-            | Packet.Part16 -> false
-            | Packet.Full64 ->
-                let first = not !seen_full64 in
-                seen_full64 := true;
-                not first
-          in
-          {
-            src;
-            src_off = src_off + delta;
-            dst;
-            dst_off = dst_off + delta;
-            len = pkt.len;
-            cost;
-            kind = pkt.kind;
-            direction;
-            streamed;
-            tag;
-          })
-        pkts costs
-    in
-    let latency = List.fold_left (fun acc s -> acc + s.cost) Time.zero steps in
-    { steps; latency; bytes = len }
-  end
-
-let plan_write t ?(hops = 1) ?(tag = "data") ?window ~src ~src_off ~dst ~dst_off ~len () =
-  let p = t.params in
-  let dst_off', len' =
+  let off, len =
     match window with
     | Some window
-      when len > Params.memcpy_threshold p
-           && src_off mod p.buffer_bytes = dst_off mod p.buffer_bytes ->
+      when len > Params.memcpy_threshold p && (src_off - dst_off) land (p.buffer_bytes - 1) = 0 ->
         widen p ~window ~dst_off ~len
     | _ -> (dst_off, len)
   in
-  let src_off' = src_off + (dst_off' - dst_off) in
-  (* Packetisation happens in destination (remote physical) address
-     space: [off] below is the remote address of the first byte. *)
-  make_plan t ~hops ~direction:Write ~tag ~src ~src_off:src_off' ~dst ~dst_off:dst_off'
-    ~off:dst_off' ~len:len'
+  { src; src_off = src_off + (off - dst_off); dst; dst_off = off; off; len; tag }
+
+(* Packetisation is per piece, costing per burst: only the first packet
+   pays the base (+ hop) latency, Full64 streaming carries across piece
+   boundaries (the card's FIFO never drains between back-to-back posted
+   writes), and the last-word bonus depends on the final piece alone. *)
+let burst (t : t) ~hops dir pieces =
+  let p = t.params in
+  let rec sum full64 part16 bytes = function
+    | [] -> (full64, part16, bytes)
+    | pc :: rest ->
+        let f, q = Packet.counts p ~off:pc.off ~len:pc.len in
+        sum (full64 + f) (part16 + q) (bytes + pc.len) rest
+  in
+  let full64, part16, bytes = sum 0 0 0 pieces in
+  let rec last_piece = function [ pc ] -> Some pc | _ :: rest -> last_piece rest | [] -> None in
+  let last, bonus =
+    match last_piece pieces with
+    | None -> (Packet.Part16, false)
+    | Some pc ->
+        ( Packet.last p ~off:pc.off ~len:pc.len,
+          dir = Model.Write && Packet.ends_on_last_word p ~off:pc.off ~len:pc.len )
+  in
+  let latency = Model.burst p ~hops dir ~full64 ~part16 ~last ~bonus in
+  { pieces; dir; hops; bonus; full64; part16; latency; bytes }
+
+let plan_write t ?(hops = 1) ?(tag = "data") ?window ~src ~src_off ~dst ~dst_off ~len () =
+  let pc = write_piece t.params ~tag ~window ~src ~src_off ~dst ~dst_off ~len in
+  burst t ~hops Model.Write (if len = 0 then [] else [ pc ])
 
 type chunk = {
   ck_tag : string;
@@ -235,122 +201,93 @@ type chunk = {
 }
 
 let plan_convoy t ?(hops = 1) chunks =
-  let p = t.params in
-  (* Per-chunk widening, exactly as [plan_write]. *)
-  let chunks =
-    List.filter_map
-      (fun c ->
-        if c.ck_len < 0 then invalid_arg "Nic.plan_convoy: negative length";
-        if c.ck_len = 0 then None
-        else
-          let dst_off', len' =
-            match c.ck_window with
-            | Some window
-              when c.ck_len > Params.memcpy_threshold p
-                   && c.ck_src_off mod p.buffer_bytes = c.ck_dst_off mod p.buffer_bytes ->
-                widen p ~window ~dst_off:c.ck_dst_off ~len:c.ck_len
-            | _ -> (c.ck_dst_off, c.ck_len)
-          in
-          Some
-            {
-              c with
-              ck_src_off = c.ck_src_off + (dst_off' - c.ck_dst_off);
-              ck_dst_off = dst_off';
-              ck_len = len';
-            })
-      chunks
-  in
-  match chunks with
-  | [] -> { steps = []; latency = Time.zero; bytes = 0 }
-  | _ :: _ ->
-      (* One burst: packetisation is per chunk (each in its own remote
-         address range) but costing is global — only the convoy's first
-         packet pays the base + hop latency, Full64 streaming carries
-         across chunk boundaries (the card's FIFO never drains between
-         back-to-back posted writes), and the last-word bonus applies
-         only to the final chunk. *)
-      let pkts =
-        List.concat_map
-          (fun c ->
-            List.map (fun pkt -> (c, pkt)) (Packet.of_range p ~off:c.ck_dst_off ~len:c.ck_len))
-          chunks
-      in
-      let last = List.nth chunks (List.length chunks - 1) in
-      let ends = Packet.ends_on_last_word p ~off:last.ck_dst_off ~len:last.ck_len in
-      let n = List.length pkts in
-      let hop_extra = (hops - 1) * p.t_hop in
-      let seen_full64 = ref false in
-      let steps =
-        List.mapi
-          (fun i (c, (pkt : Packet.t)) ->
-            let streamed, packet_cost =
-              match pkt.kind with
-              | Packet.Part16 -> (false, p.t_pkt16)
-              | Packet.Full64 ->
-                  let first = not !seen_full64 in
-                  seen_full64 := true;
-                  (not first, if first then p.t_pkt64_first else p.t_pkt64_stream)
-            in
-            let extra = if i = 0 then p.t_base + hop_extra else Time.zero in
-            let bonus = if i = n - 1 && ends then p.t_lastword_bonus else Time.zero in
-            let delta = pkt.addr - c.ck_dst_off in
-            {
-              src = c.ck_src;
-              src_off = c.ck_src_off + delta;
-              dst = c.ck_dst;
-              dst_off = c.ck_dst_off + delta;
-              len = pkt.len;
-              cost = max Time.zero (packet_cost + extra - bonus);
-              kind = pkt.kind;
-              direction = Write;
-              streamed;
-              tag = c.ck_tag;
-            })
-          pkts
-      in
-      let latency = List.fold_left (fun acc s -> acc + s.cost) Time.zero steps in
-      let bytes = List.fold_left (fun acc c -> acc + c.ck_len) 0 chunks in
-      { steps; latency; bytes }
+  burst t ~hops Model.Write
+    (List.filter_map
+       (fun c ->
+         let pc =
+           write_piece t.params ~tag:c.ck_tag ~window:c.ck_window ~src:c.ck_src ~src_off:c.ck_src_off
+             ~dst:c.ck_dst ~dst_off:c.ck_dst_off ~len:c.ck_len
+         in
+         if pc.len = 0 then None else Some pc)
+       chunks)
 
 let plan_read t ?(hops = 1) ?(tag = "data") ~src ~src_off ~dst ~dst_off ~len () =
-  make_plan t ~hops ~direction:Read ~tag ~src ~src_off ~dst ~dst_off ~off:src_off ~len
+  if len < 0 then invalid_arg "Nic: negative length";
+  burst t ~hops Model.Read
+    (if len = 0 then [] else [ { src; src_off; dst; dst_off; off = src_off; len; tag } ])
 
-let plan_steps plan = plan.steps
+let plan_packets plan = plan.full64 + plan.part16
 let plan_latency plan = plan.latency
 let plan_bytes plan = plan.bytes
 
-let apply_step (t : t) step =
-  Mem.Image.blit ~src:step.src ~src_off:step.src_off ~dst:step.dst ~dst_off:step.dst_off
-    ~len:step.len;
-  Clock.advance t.clock step.cost;
-  (match step.kind with
-  | Packet.Full64 -> t.packets64 <- t.packets64 + 1
-  | Packet.Part16 -> t.packets16 <- t.packets16 + 1);
-  if step.streamed then t.packets_streamed <- t.packets_streamed + 1;
-  (match step.direction with
-  | Write -> t.bytes_written <- t.bytes_written + step.len
-  | Read -> t.bytes_read <- t.bytes_read + step.len);
-  if Trace.Timeseries.enabled t.tel then Trace.Gauge.add (tag_gauge t step.tag) step.len;
-  if Trace.Sink.enabled t.sink then
-    Trace.Sink.instant t.sink ~cat:"sci"
-      ~name:(match step.kind with Packet.Full64 -> "pkt.full64" | Packet.Part16 -> "pkt.part16")
-      ~at:(Clock.now t.clock)
-      ~args:
-        ([
-           ("tag", step.tag);
-           ("len", string_of_int step.len);
-           ("streamed", if step.streamed then "true" else "false");
-           ("dir", (match step.direction with Write -> "write" | Read -> "read"));
-         ]
-        @ t.ctx)
+let count (t : t) dir ~full64 ~part16 ~streamed ~bytes =
+  t.packets64 <- t.packets64 + full64;
+  t.packets16 <- t.packets16 + part16;
+  t.packets_streamed <- t.packets_streamed + streamed;
+  match dir with
+  | Model.Write -> t.bytes_written <- t.bytes_written + bytes
+  | Read -> t.bytes_read <- t.bytes_read + bytes
+
+(* Packet by packet, for observers of packet boundaries: [before] runs
+   ahead of each packet (and may raise to cut the plan there), and the
+   sink gets one instant per packet. *)
+let walk ?before (t : t) plan =
+  let p = t.params in
+  let last = plan_packets plan - 1 in
+  let sent = ref 0 and sent64 = ref 0 in
+  List.iter
+    (fun pc ->
+      Packet.iter p ~off:pc.off ~len:pc.len (fun addr len kind ->
+          (match before with Some f -> f () | None -> ());
+          let delta = addr - pc.off in
+          Mem.Image.blit ~src:pc.src ~src_off:(pc.src_off + delta) ~dst:pc.dst
+            ~dst_off:(pc.dst_off + delta) ~len;
+          let full = match kind with Packet.Full64 -> 1 | Part16 -> 0 in
+          let streamed = full = 1 && !sent64 > 0 in
+          Clock.advance t.clock
+            (Model.charge p ~hops:plan.hops plan.dir ~first:(!sent = 0)
+               ~bonus:(plan.bonus && !sent = last) ~streamed kind);
+          count t plan.dir ~full64:full ~part16:(1 - full) ~streamed:(Bool.to_int streamed) ~bytes:len;
+          sent := !sent + 1;
+          sent64 := !sent64 + full;
+          if Trace.Timeseries.enabled t.tel then Trace.Gauge.add (tag_gauge t pc.tag) len;
+          if Trace.Sink.enabled t.sink then
+            Trace.Sink.instant t.sink ~cat:"sci"
+              ~name:(if full = 1 then "pkt.full64" else "pkt.part16")
+              ~at:(Clock.now t.clock)
+              ~args:
+                ([
+                   ("tag", pc.tag);
+                   ("len", string_of_int len);
+                   ("streamed", if streamed then "true" else "false");
+                   ("dir", match plan.dir with Write -> "write" | Read -> "read");
+                 ]
+                @ t.ctx)))
+    plan.pieces
+
+let rec blit_pieces (t : t) = function
+  | [] -> ()
+  | pc :: rest ->
+      Mem.Image.blit ~src:pc.src ~src_off:pc.src_off ~dst:pc.dst ~dst_off:pc.dst_off ~len:pc.len;
+      if Trace.Timeseries.enabled t.tel then Trace.Gauge.add (tag_gauge t pc.tag) pc.len;
+      blit_pieces t rest
+
+let apply ?before (t : t) plan =
+  if Option.is_some before || Trace.Sink.enabled t.sink then walk ?before t plan
+  else begin
+    blit_pieces t plan.pieces;
+    Clock.advance t.clock plan.latency;
+    count t plan.dir ~full64:plan.full64 ~part16:plan.part16 ~streamed:(Int.max 0 (plan.full64 - 1))
+      ~bytes:plan.bytes
+  end
 
 let run (t : t) plan =
-  if plan.steps <> [] then begin
+  if plan_packets plan > 0 then begin
     t.bursts <- t.bursts + 1;
-    if Trace.Timeseries.enabled t.tel then
-      note_burst t ~bytes:plan.bytes ~pkts:(List.length plan.steps)
+    Trace.Gauge.set t.g_burst_bytes plan.bytes;
+    Trace.Gauge.set t.g_burst_pkts (plan_packets plan)
   end;
-  List.iter (apply_step t) plan.steps
+  apply t plan
 
 let write t ?hops ?tag ?window ~src ~src_off ~dst ~dst_off ~len () =
   run t (plan_write t ?hops ?tag ?window ~src ~src_off ~dst ~dst_off ~len ())

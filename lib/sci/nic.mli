@@ -4,11 +4,15 @@ open Sim
     memory images, charging virtual time to a clock and keeping traffic
     counters.
 
-    Transfers are exposed as {e plans} made of packet-level {e steps} so
-    that callers (PERSEAS commit, the fault injector, the tests) can
-    observe or interrupt a copy between any two packets — the paper's
-    recovery logic exists precisely because a crash can strike after
-    some but not all packets of a remote copy have landed. *)
+    Transfers are exposed as {e plans}: one burst made of contiguous
+    copies, whose packet counts and latency are known in closed form
+    before anything moves.  Applying a plan with nothing watching is
+    one memory copy per piece and one clock advance.  Callers that must
+    observe or interrupt a copy between two packets (PERSEAS' crash
+    sweeps, a trace sink) get the same plan walked packet by packet —
+    the paper's recovery logic exists precisely because a crash can
+    strike after some but not all packets of a remote copy have
+    landed. *)
 
 type t
 
@@ -27,10 +31,11 @@ val counters : t -> counters
 val reset_counters : t -> unit
 
 val set_sink : t -> Trace.Sink.t -> unit
-(** Attach a trace sink: {!apply_step} then emits one instant event
-    per packet ([pkt.full64] / [pkt.part16], category [sci]) with its
-    traffic [tag], payload [len], and whether the 64-byte packet was
-    [streamed] (overlapped behind the first of its burst, §4).  The
+(** Attach a trace sink: every plan applied while it is enabled emits
+    one instant event per packet ([pkt.full64] / [pkt.part16], category
+    [sci]) with its traffic [tag], payload [len], and whether the
+    64-byte packet was [streamed] (overlapped behind the first of its
+    burst, §4).  The
     sink is a pure observer — it never advances the clock or changes
     the packet stream — so runs with and without it are byte-identical
     in counters and final virtual time.  Defaults to
@@ -55,10 +60,10 @@ val set_telemetry : t -> Trace.Timeseries.t -> unit
     pure-observer contract as the sink:
 
     - [nic.burst_bytes] / [nic.burst_pkts] — shape of the most recent
-      write-gathered burst (gauge high-water marks capture the largest
+      burst sent by {!run} (gauge high-water marks capture the largest
       burst between samples);
     - [nic.bytes.<tag>] — cumulative payload bytes per traffic class
-      ([bulk], [data], ...), updated per packet;
+      ([bulk], [data], ...), updated as the bytes land;
     - [netram.rpc_ops] — control round trips, bumped via {!note_rpc};
     - a sample-time probe mirroring the cumulative counters into
       gauges: [nic.bursts], [nic.pkts], [nic.pkts64], [nic.pkts16],
@@ -74,16 +79,7 @@ val note_rpc : t -> unit
 (** Record one control round trip ({!Netram.Client} calls this from
     its rpc charge).  No-op when telemetry is disabled. *)
 
-val note_burst : t -> bytes:int -> pkts:int -> unit
-(** Record the shape of a burst applied step by step outside {!run}
-    (PERSEAS' interruptible commit path).  No-op when telemetry is
-    disabled. *)
-
 (** {1 Transfer plans} *)
-
-type step
-(** One packet: applying it copies that packet's bytes and charges its
-    share of the burst latency. *)
 
 type plan
 
@@ -107,7 +103,9 @@ val plan_write :
     which is safe because source and destination are mirrors).  Without
     [window], no widening happens (raw store).  [src_off] and [dst_off]
     must be congruent modulo 64 for widening to apply (mirrored
-    segments are 64-byte aligned, so they always are). *)
+    segments are 64-byte aligned, so they always are).  [hops] is the
+    ring distance (default 1); every plan raises [Invalid_argument]
+    when [hops < 1] or [len < 0]. *)
 
 type chunk = {
   ck_tag : string;
@@ -151,7 +149,9 @@ val plan_read :
     movement vs its ["rpc"] control events — and is carried on every
     packet event the plan emits. *)
 
-val plan_steps : plan -> step list
+val plan_packets : plan -> int
+(** Packets the plan puts on the wire when fully applied. *)
+
 val plan_latency : plan -> Time.t
 (** Total virtual time the plan charges when fully applied. *)
 
@@ -159,11 +159,19 @@ val plan_bytes : plan -> int
 (** Bytes the plan moves (may exceed the requested [len] when the copy
     was widened to 64-byte alignment). *)
 
-val apply_step : t -> step -> unit
-(** Copy the step's bytes and advance the clock by the step's cost. *)
+val apply : ?before:(unit -> unit) -> t -> plan -> unit
+(** Move the plan's bytes, charge its latency and count its packets.
+    With [before] or an enabled sink, the plan is walked packet by
+    packet: [before ()] runs ahead of every packet and may raise to cut
+    the copy there, leaving exactly the earlier packets landed, charged
+    and counted; each packet's instant is stamped at the time it
+    landed.  Otherwise each piece is one copy and the clock advances
+    once by {!plan_latency}.  Both ways end with the same bytes, clock
+    and counters.  [apply] does not count a burst. *)
 
 val run : t -> plan -> unit
-(** Apply every step in order. *)
+(** [apply] without [before], counted as one burst: the [bursts]
+    counter and the [nic.burst_*] gauges see {!run} calls only. *)
 
 (** {1 Convenience wrappers} *)
 

@@ -5,7 +5,8 @@
     are all covered flushes as one [Full64] packet; a partially covered
     buffer flushes as one [Part16] packet per touched 16-byte sub-block
     (so a 4-byte store crossing a 16-byte boundary needs two packets,
-    matching §4). *)
+    matching §4).  Only the first and last buffer of a range can be
+    partial, so packet counts have a closed form. *)
 
 type kind = Full64 | Part16
 
@@ -14,10 +15,21 @@ type t = { addr : int; len : int; kind : kind }
     [\[addr, addr+len)].  For [Full64], [len] is the buffer size; for
     [Part16], [len <= 16] (a sub-block clipped to the stored range). *)
 
+val iter : Params.t -> off:int -> len:int -> (int -> int -> kind -> unit) -> unit
+(** The packetiser: [iter p ~off ~len f] calls [f addr len kind] once
+    per packet of [\[off, off+len)], in address order, allocating
+    nothing per packet.  Raises [Invalid_argument] on negative [off] or
+    [len]. *)
+
+val counts : Params.t -> off:int -> len:int -> int * int
+(** [(full64, part16)]: how many packets of each kind {!iter} emits,
+    in O(1). *)
+
+val last : Params.t -> off:int -> len:int -> kind
+(** The kind of the final packet of a non-empty range. *)
+
 val of_range : Params.t -> off:int -> len:int -> t list
-(** Raw store-gathering packetisation of [\[off, off+len)], in address
-    order.  [len = 0] yields [\[\]].  Raises [Invalid_argument] on
-    negative [off] or [len]. *)
+(** {!iter}'s packets as a list.  [len = 0] yields [\[\]]. *)
 
 val total_bytes : t list -> int
 (** Sum of payload lengths; [of_range] conserves the range length. *)

@@ -76,6 +76,10 @@ let validate t =
   else if t.write_buffers <= 0 then err "write_buffers <= 0"
   else if t.t_base < 0 || t.t_pkt16 <= 0 || t.t_pkt64_first <= 0 then err "non-positive packet cost"
   else if t.t_pkt64_stream > t.t_pkt64_first then err "streaming cost above first-packet cost"
+  else if
+    List.exists (fun c -> c < 0)
+      [ t.t_pkt64_stream; t.t_hop; t.t_read_base; t.t_read_pkt64_first; t.t_read_pkt64_stream ]
+  then err "negative transfer cost"
   else if t.t_lastword_bonus < 0 then err "negative last-word bonus"
   else if t.local_copy_bytes_per_s <= 0. then err "non-positive local copy bandwidth"
   else Ok ()

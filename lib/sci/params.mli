@@ -54,5 +54,7 @@ val projected : ?base:t -> years:int -> unit -> t
     {!default}. *)
 
 val validate : t -> (unit, string) result
-(** Sanity checks (positive costs, power-of-two sizes, streaming cost
-    not above first-packet cost). *)
+(** Sanity checks (positive packet costs, no negative cost term,
+    power-of-two sizes, streaming cost not above first-packet cost).
+    Only the last-word bonus subtracts, so only a burst's last packet
+    can charge less than its own cost. *)

@@ -278,6 +278,34 @@ let test_recover_after_clean_commit () =
   check_i64 "mirror consistent" (P.checksum t2 seg2) (P.mirror_checksum t2 seg2);
   check_bool "epoch advanced by recovery" true (P.epoch t2 > 2L)
 
+(* Bulk copies allocate nothing per packet: mirroring and recovering a
+   16 MB database costs the minor heap what a 1 MB one does. *)
+let test_bulk_copies_allocate_flat () =
+  let minor_words f =
+    let w0 = Gc.minor_words () in
+    ignore (f ());
+    Gc.minor_words () -. w0
+  in
+  let cost size =
+    let b = bed ~dram:(size + (4 lsl 20)) () in
+    ignore (P.malloc b.t ~name:"db" ~size);
+    let init = minor_words (fun () -> P.init_remote_db b.t) in
+    crash_primary b;
+    let recover =
+      minor_words (fun () -> P.recover_replicated ~cluster:b.cluster ~local:2 ~servers:[ b.server ] ())
+    in
+    (init, recover)
+  in
+  let init1, recover1 = cost (1 lsl 20) and init16, recover16 = cost (16 lsl 20) in
+  let flat name small large =
+    check_bool
+      (Printf.sprintf "%s: %.0f words at 16 MB vs %.0f at 1 MB" name large small)
+      true
+      (Float.abs (large -. small) <= 2000.)
+  in
+  flat "init_remote_db" init1 init16;
+  flat "recover_replicated" recover1 recover16
+
 let test_recover_multiple_segments () =
   let b = bed () in
   let a = P.malloc b.t ~name:"alpha" ~size:512 in
@@ -575,6 +603,7 @@ let suite =
     ("commit point is a single packet", `Quick, test_epoch_write_is_single_packet);
     ("recover after clean commit", `Quick, test_recover_after_clean_commit);
     ("recover multiple segments", `Quick, test_recover_multiple_segments);
+    ("bulk copies allocate flat in database size", `Quick, test_bulk_copies_allocate_flat);
     ("recovered instance runs transactions", `Quick, test_recovered_instance_supports_transactions);
     ("recover on rebooted primary", `Quick, test_recover_on_rebooted_primary);
     ("recover without a database fails", `Quick, test_recover_without_db_fails);

@@ -240,17 +240,34 @@ let test_nic_counters () =
   Sci.Nic.reset_counters nic;
   check_int "reset" 0 (Sci.Nic.counters nic).bytes_written
 
+exception Cut
+
 let test_nic_step_by_step_partial () =
   let _, nic, src, dst = fresh_pair () in
   Mem.Image.fill src ~off:0 ~len:200 'x';
   let plan = Sci.Nic.plan_write nic ~src ~src_off:0 ~dst ~dst_off:0 ~len:200 () in
-  let steps = Sci.Nic.plan_steps plan in
-  check_int "4 steps" 4 (List.length steps);
-  (* Apply only the first two: exactly 128 bytes must have landed. *)
-  List.iteri (fun i s -> if i < 2 then Sci.Nic.apply_step nic s) steps;
+  check_int "4 packets" 4 (Sci.Nic.plan_packets plan);
+  (* Cut before the third packet: exactly 128 bytes must have landed. *)
+  let sent = ref 0 in
+  (try Sci.Nic.apply nic plan ~before:(fun () -> if !sent = 2 then raise Cut else incr sent)
+   with Cut -> ());
   check Alcotest.string "first 128 landed" (String.make 128 'x')
     (Bytes.to_string (Mem.Image.read_bytes dst ~off:0 ~len:128));
-  check_int "tail untouched" 0 (Mem.Image.read_u8 dst 128)
+  check_int "tail untouched" 0 (Mem.Image.read_u8 dst 128);
+  check_int "two packets counted" 2 (Sci.Nic.counters nic).packets64
+
+let test_nic_rejects_zero_hops () =
+  let _, nic, src, dst = fresh_pair () in
+  let raises name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+    | exception Invalid_argument _ -> ()
+  in
+  raises "model write" (fun () -> Sci.Model.write_range p ~hops:0 ~off:0 ~len:4 ());
+  raises "model read" (fun () -> Sci.Model.read_range p ~hops:0 ~off:0 ~len:4 ());
+  raises "nic write" (fun () -> Sci.Nic.plan_write nic ~hops:0 ~src ~src_off:0 ~dst ~dst_off:0 ~len:4 ());
+  raises "nic read" (fun () -> Sci.Nic.plan_read nic ~hops:0 ~src ~src_off:0 ~dst ~dst_off:0 ~len:4 ());
+  raises "nic convoy" (fun () -> Sci.Nic.plan_convoy nic ~hops:0 [])
 
 let test_nic_read_roundtrip () =
   let _, nic, src, dst = fresh_pair () in
@@ -264,7 +281,7 @@ let test_nic_u64_roundtrip () =
   Sci.Nic.write_u64 nic ~dst ~dst_off:16 0xfeedfacecafebeefL;
   check Alcotest.int64 "u64" 0xfeedfacecafebeefL (Sci.Nic.read_u64 nic ~src:dst ~src_off:16 ())
 
-let prop_plan_steps_cover_range =
+let prop_write_covers_range =
   QCheck.Test.make ~name:"nic run moves exactly the requested bytes (no widening)" ~count:200
     QCheck.(pair (int_bound 500) (int_range 1 1024))
     (fun (off, len) ->
@@ -278,6 +295,185 @@ let prop_plan_steps_cover_range =
       (* Bytes before/after the range stay zero. *)
       (off = 0 || Mem.Image.read_u8 dst (off - 1) = 0)
       && (off + len >= 4096 || Mem.Image.read_u8 dst (off + len) = 0))
+
+(* The bulk path (nothing watching) and the packet walk (a hook, a
+   sink) must be indistinguishable: same bytes, clock and counters, one
+   hook call and one instant per packet, and a clock delta equal to the
+   closed-form latency, which is the per-packet model's sum. *)
+type shape =
+  | Write of { window : bool; src_off : int; dst_off : int; len : int }
+  | Read of { src_off : int; dst_off : int; len : int }
+  | Convoy of (bool * int * int) list (* window, offset in its slot, len *)
+
+let gen_shape =
+  let open QCheck.Gen in
+  let off = int_bound 1000 and len = int_bound 1500 in
+  oneof
+    [
+      map
+        (fun (window, (src_off, skew), len) -> Write { window; src_off; dst_off = src_off + skew; len })
+        (triple bool (pair off (oneofl [ 0; 64; 7; 13 ])) len);
+      map (fun ((src_off, dst_off), len) -> Read { src_off; dst_off; len }) (pair (pair off off) len);
+      map (fun cs -> Convoy cs) (list_size (int_range 1 8) (triple bool (int_bound 300) (int_bound 200)));
+    ]
+
+let print_shape = function
+  | Write w -> Printf.sprintf "write window=%b %d->%d len %d" w.window w.src_off w.dst_off w.len
+  | Read r -> Printf.sprintf "read %d->%d len %d" r.src_off r.dst_off r.len
+  | Convoy cs ->
+      "convoy " ^ String.concat "; " (List.map (fun (w, off, len) -> Printf.sprintf "%b %d+%d" w off len) cs)
+
+(* Convoy chunk [i] lives in its own 512-byte slot, so chunks stay disjoint. *)
+let slot i = Mem.Segment.v ~base:(i * 512) ~len:512
+
+let plan_of nic ~hops ~src ~dst = function
+  | Write w ->
+      let window = if w.window then Some (Mem.Segment.v ~base:0 ~len:4096) else None in
+      Sci.Nic.plan_write nic ~hops ~tag:"w" ?window ~src ~src_off:w.src_off ~dst ~dst_off:w.dst_off
+        ~len:w.len ()
+  | Read r ->
+      Sci.Nic.plan_read nic ~hops ~tag:"r" ~src ~src_off:r.src_off ~dst ~dst_off:r.dst_off ~len:r.len ()
+  | Convoy cs ->
+      Sci.Nic.plan_convoy nic ~hops
+        (List.mapi
+           (fun i (window, off, len) ->
+             let off = Mem.Segment.base (slot i) + off in
+             {
+               Sci.Nic.ck_tag = (if i mod 2 = 0 then "even" else "odd");
+               ck_window = (if window then Some (slot i) else None);
+               ck_src = src;
+               ck_src_off = off;
+               ck_dst = dst;
+               ck_dst_off = off;
+               ck_len = len;
+             })
+           cs)
+
+(* The remote ranges the shape's packets are cut from: sci_memcpy
+   widening of section 4, restated independently of the NIC. *)
+let cut_ranges shape =
+  let widen ~window ~src_off ~dst_off ~len =
+    match window with
+    | Some w when len > 32 && src_off mod 64 = dst_off mod 64 ->
+        let lo = max (Mem.Segment.base w) (dst_off / 64 * 64)
+        and hi = min (Mem.Segment.base w + Mem.Segment.len w) ((dst_off + len + 63) / 64 * 64) in
+        if lo <= dst_off && hi >= dst_off + len then (lo, hi - lo) else (dst_off, len)
+    | _ -> (dst_off, len)
+  in
+  match shape with
+  | Write w ->
+      let window = if w.window then Some (Mem.Segment.v ~base:0 ~len:4096) else None in
+      [ widen ~window ~src_off:w.src_off ~dst_off:w.dst_off ~len:w.len ]
+  | Read r -> [ (r.src_off, r.len) ]
+  | Convoy cs ->
+      List.mapi
+        (fun i (window, off, len) ->
+          let off = Mem.Segment.base (slot i) + off in
+          widen ~window:(if window then Some (slot i) else None) ~src_off:off ~dst_off:off ~len)
+        cs
+
+(* The per-packet cost model, restated: the first packet pays the burst
+   overhead, the first Full64 the pipeline fill, later Full64s stream,
+   the last packet of a write ending on a buffer's last word earns the
+   bonus, and no packet charges below zero.  Each packet comes with its
+   charge and whether it streamed. *)
+let per_packet (p : Sci.Params.t) ~hops shape =
+  let read = match shape with Read _ -> true | Write _ | Convoy _ -> false in
+  let ranges = List.filter (fun (_, len) -> len > 0) (cut_ranges shape) in
+  let bonus =
+    (not read)
+    && match List.rev ranges with (off, len) :: _ -> Sci.Packet.ends_on_last_word p ~off ~len | [] -> false
+  in
+  let pkts = List.concat_map (fun (off, len) -> Sci.Packet.of_range p ~off ~len) ranges in
+  let n = List.length pkts in
+  let cost i streamed (pkt : Sci.Packet.t) =
+    let own =
+      match (pkt.kind, read) with
+      | Part16, false -> p.t_pkt16
+      | Part16, true -> 2 * p.t_pkt16
+      | Full64, false -> if streamed then p.t_pkt64_stream else p.t_pkt64_first
+      | Full64, true -> if streamed then p.t_read_pkt64_stream else p.t_read_pkt64_first
+    in
+    let base = if read then p.t_read_base else p.t_base in
+    let first = if i = 0 then base + ((hops - 1) * p.t_hop) else 0 in
+    max 0 (own + first - if i = n - 1 && bonus then p.t_lastword_bonus else 0)
+  in
+  let rec walk i seen64 = function
+    | [] -> []
+    | (pkt : Sci.Packet.t) :: rest ->
+        let streamed = seen64 && pkt.kind = Full64 in
+        (pkt, cost i streamed pkt, streamed) :: walk (i + 1) (seen64 || pkt.kind = Full64) rest
+  in
+  walk 0 false pkts
+
+type outcome = { image : string; now : Time.t; counters : Sci.Nic.counters; gauges : string }
+
+let start = Time.us 1.0
+
+let apply_shape ~params ~hops ~observe shape =
+  let clock = Clock.create ~at:start () in
+  let nic = Sci.Nic.create ~params clock in
+  let tel = Trace.Timeseries.create () in
+  Sci.Nic.set_telemetry nic tel;
+  let src = Mem.Image.create ~size:8192 and dst = Mem.Image.create ~size:8192 in
+  for i = 0 to 8191 do
+    Mem.Image.write_u8 src i (1 + (i mod 251))
+  done;
+  let plan = plan_of nic ~hops ~src ~dst shape in
+  let hooks = ref 0 and sink = Trace.Sink.memory () in
+  (match observe with
+  | `Bulk -> Sci.Nic.apply nic plan
+  | `Hook -> Sci.Nic.apply nic plan ~before:(fun () -> incr hooks)
+  | `Sink ->
+      Sci.Nic.set_sink nic sink;
+      Sci.Nic.set_ctx nic [ ("op", "prop") ];
+      Sci.Nic.apply nic plan);
+  (* A sample mirrors the streamed-packet counter and the per-tag byte
+     gauges into the timeseries. *)
+  Trace.Timeseries.sample tel ~at:(Clock.now clock);
+  let outcome =
+    {
+      image = Bytes.to_string (Mem.Image.read_bytes dst ~off:0 ~len:8192);
+      now = Clock.now clock;
+      counters = Sci.Nic.counters nic;
+      gauges = Trace.Timeseries.to_json tel;
+    }
+  in
+  (plan, outcome, !hooks, Trace.Sink.events sink)
+
+let prop_walk_equals_bulk =
+  QCheck.Test.make ~name:"nic: walked and bulk application agree" ~count:500
+    (QCheck.make
+       ~print:(fun ((y, big), h, s) -> Printf.sprintf "years %d big bonus %b hops %d %s" y big h (print_shape s))
+       QCheck.Gen.(triple (pair (int_bound 10) bool) (int_range 1 3) gen_shape))
+    (fun ((years, big_bonus), hops, shape) ->
+      (* A bonus as large as a first packet makes the zero clamp bite. *)
+      let params = Sci.Params.projected ~years () in
+      let params = if big_bonus then { params with t_lastword_bonus = params.t_pkt64_first } else params in
+      let plan, bulk, _, _ = apply_shape ~params ~hops ~observe:`Bulk shape in
+      let _, hooked, hooks, _ = apply_shape ~params ~hops ~observe:`Hook shape in
+      let _, sunk, _, events = apply_shape ~params ~hops ~observe:`Sink shape in
+      let expected = per_packet params ~hops shape in
+      let _, instants =
+        List.fold_left_map
+          (fun at ((pkt : Sci.Packet.t), cost, streamed) ->
+            let at = at + cost in
+            ( at,
+              ( (match pkt.kind with Full64 -> "pkt.full64" | Part16 -> "pkt.part16"),
+                at,
+                string_of_int pkt.len,
+                string_of_bool streamed,
+                "prop" ) ))
+          start expected
+      in
+      let arg (e : Trace.Event.t) k = List.assoc k e.args in
+      let packets = Sci.Nic.plan_packets plan in
+      bulk = hooked && bulk = sunk && hooks = packets
+      && List.length expected = packets
+      && List.map (fun (e : Trace.Event.t) -> (e.name, e.at, arg e "len", arg e "streamed", arg e "op")) events
+         = instants
+      && bulk.now - start = Sci.Nic.plan_latency plan
+      && Sci.Nic.plan_latency plan = List.fold_left (fun acc (_, cost, _) -> acc + cost) 0 expected)
 
 let suite =
   [
@@ -308,7 +504,9 @@ let suite =
     ("nic: no widening when misaligned", `Quick, test_nic_no_widening_when_misaligned);
     ("nic: traffic counters", `Quick, test_nic_counters);
     ("nic: partial application lands a prefix", `Quick, test_nic_step_by_step_partial);
+    ("nic: hops below one rejected", `Quick, test_nic_rejects_zero_hops);
+    QCheck_alcotest.to_alcotest prop_walk_equals_bulk;
     ("nic: remote read roundtrip", `Quick, test_nic_read_roundtrip);
     ("nic: u64 roundtrip", `Quick, test_nic_u64_roundtrip);
-    QCheck_alcotest.to_alcotest prop_plan_steps_cover_range;
+    QCheck_alcotest.to_alcotest prop_write_covers_range;
   ]
