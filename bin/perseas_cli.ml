@@ -191,9 +191,11 @@ let crash_sweep_cmd =
        (redundancy-elision stress mix), overlap-naive (same mix, elision off), concurrent \
        (a group-commit flush of three clients with a fourth transaction open across it), \
        checkpoint (commits interleaved with every phase of a fuzzy checkpoint), shard-commit \
-       (a single-shard commit with a bystander shard committing alongside) or shard-fence (a \
+       (a single-shard commit with a bystander shard committing alongside), shard-fence (a \
        phase-switch fence draining a cross-shard transaction; the victim shard's primary or \
-       mirror dies at each packet)."
+       mirror dies at each packet) or recovery (a checkpointed recovery cut at each of its own \
+       packets: the recovering node dies and recovery reruns on another node, swept with the \
+       target's node first and with the spare first; --victim does not apply)."
     in
     Arg.(
       value
@@ -208,20 +210,21 @@ let crash_sweep_cmd =
                ("checkpoint", `Checkpoint);
                ("shard-commit", `Shard_commit);
                ("shard-fence", `Shard_fence);
+               ("recovery", `Recovery);
              ])
           `Commit
       & info [ "scenario" ] ~doc)
   in
   let victim_arg =
     let doc =
-      "Who dies at each packet: primary (recover on the spare), mirror, or ckpt-target (the \
-       checkpoint scenario's target node; every commit must still land)."
+      "Who dies at each packet: primary (the default; recover on the spare), mirror, or \
+       ckpt-target (the checkpoint scenario's target node; every commit must still land)."
     in
     Arg.(
       value
       & opt
-          (enum [ ("primary", `Primary); ("mirror", `Mirror); ("ckpt-target", `Ckpt_target) ])
-          `Primary
+          (some (enum [ ("primary", `Primary); ("mirror", `Mirror); ("ckpt-target", `Ckpt_target) ]))
+          None
       & info [ "victim" ] ~doc)
   in
   let mirror_index_arg =
@@ -243,44 +246,55 @@ let crash_sweep_cmd =
     setup_logs verbose;
     if mirrors < 1 || ranges < 1 || range_len < 1 then
       `Error (false, "mirrors, ranges and range-len must be positive")
-    else if victim = `Mirror && (mirror_index < 0 || mirror_index >= mirrors) then
+    else if victim = Some `Mirror && (mirror_index < 0 || mirror_index >= mirrors) then
       `Error (false, Printf.sprintf "mirror-index must be in [0, %d)" mirrors)
+    else if victim = Some `Ckpt_target && scenario <> `Checkpoint then
+      `Error (false, "--victim ckpt-target requires --scenario checkpoint")
+    else if victim <> None && scenario = `Recovery then
+      `Error (false, "--scenario recovery kills the recovering node; --victim does not apply")
     else begin
       let module C = Harness.Crashpoint in
-      let scenario_name = scenario in
-      let scenario =
+      let sweeps =
+        let one victim scenario = [ (victim, scenario) ] in
+        let victim =
+          match victim with
+          | None | Some `Primary -> C.Primary
+          | Some `Mirror -> C.Mirror mirror_index
+          | Some `Ckpt_target -> C.Ckpt_target
+        in
         match scenario with
-        | `Commit -> C.commit_scenario ~mirrors ~ranges ~range_len ()
-        | `Attach -> C.attach_scenario ~mirrors ()
-        | `Overlap -> C.overlap_scenario ~mirrors ()
-        | `Overlap_naive -> C.overlap_scenario ~mirrors ~elision:false ()
-        | `Concurrent -> C.concurrent_scenario ~mirrors ()
-        | `Checkpoint -> C.checkpoint_scenario ~mirrors ()
-        | `Shard_commit -> C.shard_commit_scenario ~mirrors ()
-        | `Shard_fence -> C.shard_fence_scenario ~mirrors ()
+        | `Commit -> one victim (C.commit_scenario ~mirrors ~ranges ~range_len ())
+        | `Attach -> one victim (C.attach_scenario ~mirrors ())
+        | `Overlap -> one victim (C.overlap_scenario ~mirrors ())
+        | `Overlap_naive -> one victim (C.overlap_scenario ~mirrors ~elision:false ())
+        | `Concurrent -> one victim (C.concurrent_scenario ~mirrors ())
+        | `Checkpoint -> one victim (C.checkpoint_scenario ~mirrors ())
+        | `Shard_commit -> one victim (C.shard_commit_scenario ~mirrors ())
+        | `Shard_fence -> one victim (C.shard_fence_scenario ~mirrors ())
+        | `Recovery ->
+            List.map
+              (fun in_place_first ->
+                (C.Recovering { in_place_first }, C.recovery_scenario ~mirrors ()))
+              [ true; false ]
       in
-      if victim = `Ckpt_target && scenario_name <> `Checkpoint then
-        `Error (false, "--victim ckpt-target requires --scenario checkpoint")
-      else
-      let victim =
-        match victim with
-        | `Primary -> C.Primary
-        | `Mirror -> C.Mirror mirror_index
-        | `Ckpt_target -> C.Ckpt_target
-      in
-      match C.sweep ~victim scenario with
-      | report ->
-          Harness.Table.print
-            ~title:
-              (Printf.sprintf "Crash-point sweep: %s, %s dies at each of %d packet boundaries"
-                 report.C.label (C.victim_label victim) report.C.total_packets)
-            ~header:C.csv_header (C.report_rows report);
-          Printf.printf
-            "all %d points recovered to a legal image: %d old, %d new, %d needed undo replay\n"
-            (List.length report.C.points) report.C.old_images report.C.new_images
-            report.C.repaired;
+      match List.map (fun (victim, scenario) -> C.sweep ~victim scenario) sweeps with
+      | reports ->
+          List.iter
+            (fun (report : C.report) ->
+              Harness.Table.print
+                ~title:
+                  (Printf.sprintf "Crash-point sweep: %s, %s dies at each of %d packet boundaries"
+                     report.C.label (C.victim_label report.C.victim) report.C.total_packets)
+                ~header:C.csv_header (C.report_rows report);
+              Printf.printf
+                "all %d points recovered to a legal image: %d old, %d new, %d needed undo replay\n"
+                (List.length report.C.points) report.C.old_images report.C.new_images
+                report.C.repaired)
+            reports;
           Option.iter
-            (fun path -> Harness.Table.save_csv ~path ~header:C.csv_header (C.report_rows report))
+            (fun path ->
+              Harness.Table.save_csv ~path ~header:C.csv_header
+                (List.concat_map C.report_rows reports))
             csv;
           `Ok ()
       | exception C.Oracle_violation msg -> `Error (false, "oracle violation: " ^ msg)
@@ -312,7 +326,7 @@ let checkpoint_cmd =
     setup_logs verbose;
     if txns < 0 || tail < 0 then `Error (false, "txns and tail must be non-negative")
     else begin
-      let c = Harness.Experiments.checkpoint_cycle ~txns ~tail in
+      let c = Harness.Experiments.checkpoint_cycle ~txns ~tail () in
       Printf.printf
         "checkpoint generation %Ld published at epoch %Ld: shipped %d B, truncated %d B of undo \
          (high-water mark %d -> %d B)\n"

@@ -112,7 +112,7 @@ let concurrent_entry () =
    time itself, so the debit-credit tps gate also fails CI when
    checkpointed recovery slows by more than the tolerance. *)
 let checkpoint_entry () =
-  let c = Experiments.checkpoint_cycle ~txns:2_000 ~tail:200 in
+  let c = Experiments.checkpoint_cycle ~txns:2_000 ~tail:200 () in
   assert c.Experiments.mirrors_clean;
   let recovery_us = c.Experiments.recovery_us in
   {

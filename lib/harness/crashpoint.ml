@@ -19,7 +19,7 @@ type env = {
   t : P.t;
 }
 
-type victim = Primary | Mirror of int | Ckpt_target
+type victim = Primary | Mirror of int | Ckpt_target | Recovering of { in_place_first : bool }
 type image = Pre | Post | Checkpoint of int
 
 type point = {
@@ -63,6 +63,8 @@ let victim_label = function
   | Primary -> "primary"
   | Mirror i -> Printf.sprintf "mirror%d" i
   | Ckpt_target -> "ckpt-target"
+  | Recovering { in_place_first = true } -> "recovering-target-first"
+  | Recovering { in_place_first = false } -> "recovering-spare-first"
 
 (* The whole-database fingerprint an image is compared by. *)
 let signature t =
@@ -225,7 +227,8 @@ let run_node_point ?(attach = fun (_ : env) -> ()) scenario ~pre ~checkpoints ~p
         match env.ckpt with
         | Some s -> (Node.id (Netram.Server.node s), "checkpoint-target death")
         | None -> invalid_arg "Crashpoint.sweep: scenario has no checkpoint target")
-    | Primary -> invalid_arg "Crashpoint.run_node_point: the primary is not a bystander"
+    | Primary | Recovering _ ->
+        invalid_arg "Crashpoint.run_node_point: the victim is not a bystander"
   in
   (* Only a mirror's death may cost the library its last mirror. *)
   let all_lost f =
@@ -286,12 +289,105 @@ let run_node_point ?(attach = fun (_ : env) -> ()) scenario ~pre ~checkpoints ~p
   }
 
 (* ------------------------------------------------------------------ *)
+(* Recovering-node point: the script runs whole, the primary dies, and
+   recovery from the checkpoint target starts on one node — which dies
+   just before recovery packet [k].  A second recovery on another node
+   must still rebuild the committed image: recovery itself may be
+   interrupted at any packet without costing a committed byte. *)
+
+(* The first and second recovery nodes: the checkpoint target's own
+   node (adopting its slot in place) and the spare (reading it
+   remotely), in the order [in_place_first] picks. *)
+let recovery_nodes env ~in_place_first =
+  let target =
+    match env.ckpt with
+    | Some s -> Node.id (Netram.Server.node s)
+    | None -> invalid_arg "Crashpoint.sweep: the recovering victim needs a checkpoint target"
+  in
+  if in_place_first then (target, env.spare) else (env.spare, target)
+
+let recover_from_checkpoint ?hook ?(recovery_sink = Trace.Sink.noop) ?on_repair env ~local =
+  let checkpoint =
+    match env.ckpt with
+    | Some s when Netram.Server.is_alive s -> Some (P.Ram_source s)
+    | _ -> None
+  in
+  P.recover_replicated ~config:(P.config env.t) ~sink:recovery_sink ?hook ?on_repair ?checkpoint
+    ~cluster:env.cluster ~local ~servers:env.servers ()
+
+(* The script run whole, then the primary's death: [post] is the only
+   legal image, and the first recovery's packet count bounds the
+   sweep. *)
+let recovery_dry_run scenario ~in_place_first =
+  let env = scenario.make () in
+  scenario.script env ~checkpoint:(fun () -> ());
+  let post = signature env.t in
+  ignore (Cluster.crash_node env.cluster env.primary Cluster.Failure.Software_error);
+  let first, _ = recovery_nodes env ~in_place_first in
+  let count = ref 0 in
+  ignore (recover_from_checkpoint ~hook:(fun () -> incr count) env ~local:first);
+  (!count, post)
+
+let run_recovering_point ?(attach = fun (_ : env) -> ()) ?recovery_sink scenario ~in_place_first
+    ~post ~k ~total =
+  let env = scenario.make () in
+  attach env;
+  scenario.script env ~checkpoint:(fun () -> ());
+  let epoch_before = P.epoch env.t in
+  ignore (Cluster.crash_node env.cluster env.primary Cluster.Failure.Software_error);
+  let first, second = recovery_nodes env ~in_place_first in
+  let replayed = ref 0 and bytes = ref 0 in
+  let on_repair ~name:_ ~len =
+    incr replayed;
+    bytes := !bytes + len
+  in
+  let sent = ref 0 in
+  let hook () = if !sent >= k then raise Crash else incr sent in
+  let t0 = Clock.now env.clock in
+  let t2, crashed =
+    match recover_from_checkpoint ~hook ?recovery_sink ~on_repair env ~local:first with
+    | t2 -> (t2, false)
+    | exception Crash ->
+        ignore (Cluster.crash_node env.cluster first Cluster.Failure.Hardware_error);
+        (recover_from_checkpoint ?recovery_sink ~on_repair env ~local:second, true)
+  in
+  let recovery_us = Time.to_us (Clock.now env.clock - t0) in
+  if signature t2 <> post then
+    violation "%s: recovering node died at recovery packet %d/%d and committed data was lost"
+      scenario.label k total;
+  let epoch_after = P.epoch t2 in
+  check_epoch scenario.label ~epoch_before ~epoch_after;
+  let mismatches =
+    check_clean_mirrors scenario.label t2
+      ~where:(Printf.sprintf "after recovery cut at packet %d" k)
+  in
+  {
+    index = k;
+    crashed;
+    image = Post;
+    replayed_records = !replayed;
+    replayed_bytes = !bytes;
+    recovery_us;
+    epoch_before;
+    epoch_after;
+    mismatches;
+  }
+
+(* ------------------------------------------------------------------ *)
 
 let sweep ?(victim = Primary) ?postmortem scenario =
-  let total, pre, checkpoints, post = dry_run scenario in
+  let total, pre, checkpoints, post =
+    match victim with
+    | Recovering { in_place_first } ->
+        let total, post = recovery_dry_run scenario ~in_place_first in
+        (total, post, [], post)
+    | _ -> dry_run scenario
+  in
   let run_point ?attach ?recovery_sink k =
     match victim with
     | Primary -> run_primary_point ?attach ?recovery_sink scenario ~pre ~checkpoints ~post ~k ~total
+    | Recovering { in_place_first } ->
+        run_recovering_point ?attach ?recovery_sink scenario ~in_place_first ~post ~k ~total
     | victim -> run_node_point ?attach scenario ~pre ~checkpoints ~post ~k ~victim
   in
   let points =
@@ -580,6 +676,48 @@ let checkpoint_scenario ?(mirrors = 1) ?(seg_size = 8192) () =
     put 4 'e'
   in
   { label = Printf.sprintf "checkpoint-%dm" mirrors; make; script }
+
+(* A checkpointed database with a real tail: three multi-chunk tables,
+   a checkpoint, then commits after the cut into a few chunks — one of
+   them spanning a chunk boundary — so a checkpointed recovery adopts
+   most chunks from the slot and fetches the rest from the mirror, and
+   an aborted transaction whose before-image recovery replays.  Meant
+   for the {!Recovering} victims, which cut that recovery. *)
+let recovery_scenario ?(mirrors = 1) ?(seg_size = 8192) () =
+  if mirrors < 1 then invalid_arg "Crashpoint.recovery_scenario: at least one mirror";
+  if seg_size < 4096 then invalid_arg "Crashpoint.recovery_scenario: segment too small";
+  let make () =
+    let env = make_env ~extras:[ "ckpt" ] ~mirrors () in
+    List.iter (fun name -> ignore (seed_segment env.t name ~size:seg_size)) table_names;
+    P.init_remote_db env.t;
+    let ckpt = Netram.Server.create (Cluster.node env.cluster (mirrors + 1)) in
+    P.Checkpoint.set_ram_target env.t ~server:ckpt;
+    { env with ckpt = Some ckpt }
+  in
+  let put name ~off ~len fill env =
+    let seg = Option.get (P.segment env.t name) in
+    let txn = P.begin_transaction env.t in
+    P.set_range txn seg ~off ~len;
+    P.write env.t seg ~off (Bytes.make len fill);
+    P.commit txn
+  in
+  let script env ~checkpoint =
+    put "accounts" ~off:64 ~len:128 'a' env;
+    ignore (P.Checkpoint.take env.t);
+    checkpoint ();
+    put "accounts" ~off:1000 ~len:64 'b' env;
+    put "branches" ~off:3072 ~len:128 'c' env;
+    put "history" ~off:4096 ~len:200 'd' env;
+    (* An aborted transaction leaves its before-image in the mirror's
+       log at the current epoch: recovery's repair replays it (a no-op
+       on the bytes), so the sweep cuts the repair too. *)
+    let seg = Option.get (P.segment env.t "accounts") in
+    let txn = P.begin_transaction env.t in
+    P.set_range txn seg ~off:2048 ~len:64;
+    P.write env.t seg ~off:2048 (Bytes.make 64 'e');
+    P.abort txn
+  in
+  { label = Printf.sprintf "recovery-%dm" mirrors; make; script }
 
 (* ------------------------------------------------------------------ *)
 (* Shard scenarios: the same sweeps, pointed at one shard of a sharded

@@ -43,6 +43,17 @@ type victim =
           commit must land (the post-image is the only legal outcome of
           a kill) and checkpoint operations degrade to typed no-ops
           ({!Perseas.Checkpoint.Target_lost}). *)
+  | Recovering of { in_place_first : bool }
+      (** Run the script whole, kill the primary, and recover with the
+          checkpoint target as a restore source; the node running that
+          recovery dies before each of its packets (the sweep counts
+          recovery's packets, not the script's), and recovery runs
+          again on another node.  With [in_place_first] the first
+          recovery runs on the target's own node, adopting its slot in
+          place, and the second on the spare; otherwise the spare goes
+          first, reading the slot remotely, and the second adopts in
+          place.  The committed post-image is the only legal
+          outcome. *)
 
 type image = Pre | Post | Checkpoint of int
 
@@ -144,6 +155,14 @@ val checkpoint_scenario : ?mirrors:int -> ?seg_size:int -> unit -> scenario
     with every victim: {!Primary} (recovery gets the surviving target
     as a restore source and must reject torn slots), a {!Mirror}, and
     {!Ckpt_target} (all commits must still land). *)
+
+val recovery_scenario : ?mirrors:int -> ?seg_size:int -> unit -> scenario
+(** A checkpointed database with a real tail: three multi-chunk tables
+    ([seg_size], default 8 KiB), one commit, a {!Perseas.Checkpoint.take},
+    then three commits after the cut into a few chunks, one of them
+    spanning a chunk boundary, and an aborted transaction whose
+    before-image, left in the mirror's log, recovery replays.  Sweep it
+    with both {!Recovering} victims. *)
 
 val shard_commit_scenario : ?mirrors:int -> ?seg_size:int -> unit -> scenario
 (** The single-shard commit sweep on a 2-shard {!Sharding.make_bed}

@@ -124,14 +124,24 @@ type checkpoint_cycle = {
   recovery_us : float;
   recovered_epoch : int64;
   mirrors_clean : bool;
+  committed_kept : bool;  (** The rebuilt image equals the committed one. *)
+  db_bytes : int;
+  segments : int;
 }
 
-val checkpoint_cycle : txns:int -> tail:int -> checkpoint_cycle
+val checkpoint_cycle :
+  ?restore:[ `Checkpoint | `Mirror | `Mirror_helper ] ->
+  txns:int ->
+  tail:int ->
+  unit ->
+  checkpoint_cycle
 (** The checkpoint-recovery cycle: default-size debit-credit on a
     primary, mirror, checkpoint target and spare; [txns] transactions,
     one fuzzy checkpoint to the target's RAM, [tail] more, then the
-    primary dies and the database is rebuilt on the target's node from
-    the slot plus the mirror tail. *)
+    primary dies.  [restore] picks the rebuild: [`Checkpoint] (default)
+    on the target's node from the slot plus the chunks written after
+    the cut; [`Mirror] plain mirror fetch onto the spare; [`Mirror_helper]
+    the same with the target's node as a helper. *)
 
 val sharding_params : ?scale:int -> shards:int -> unit -> Workloads.Debit_credit.params
 (** R13's bank per shard: a TPC-scaled bank of [scale] branches

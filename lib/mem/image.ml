@@ -4,6 +4,10 @@ let create ~size =
   if size <= 0 then invalid_arg "Image.create: size must be positive";
   { data = Bytes.make size '\000' }
 
+let of_bytes data =
+  if Bytes.length data = 0 then invalid_arg "Image.of_bytes: empty buffer";
+  { data }
+
 let size t = Bytes.length t.data
 
 let check t off len name =

@@ -11,6 +11,11 @@ type t
 val create : size:int -> t
 (** A zero-filled image of [size] bytes.  [size] must be positive. *)
 
+val of_bytes : bytes -> t
+(** An image over [bytes] itself, not a copy: writes to the image land
+    in the buffer.  For reading a remote copy into a buffer in place.
+    The buffer must not be empty. *)
+
 val size : t -> int
 
 val read_u8 : t -> int -> int
