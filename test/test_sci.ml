@@ -276,6 +276,27 @@ let test_nic_read_roundtrip () =
   check Alcotest.string "read back" "remote-data" (Bytes.to_string (Mem.Image.read_bytes dst ~off:0 ~len:11));
   check_int "read bytes counted" 11 (Sci.Nic.counters nic).bytes_read
 
+(* run_all's bulk path makes every copy before charging any: it must
+   end where running the plans one by one ends — the bytes (a later
+   plan wins where two overlap), each stream's clock and the counters. *)
+let test_nic_run_all_equals_run () =
+  let go all =
+    let clock, nic, src, dst = fresh_pair () in
+    Mem.Image.write_bytes src ~off:0 (Bytes.init 4096 (fun i -> Char.chr ((i * 7) land 0xff)));
+    let other = Clock.create () in
+    let plans =
+      List.mapi
+        (fun i (src_off, dst_off, len) ->
+          ( (if i mod 2 = 0 then clock else other),
+            Sci.Nic.plan_read nic ~hops:2 ~src ~src_off ~dst ~dst_off ~len () ))
+        [ (0, 0, 200); (1000, 100, 64); (2048, 3000, 1000); (7, 150, 9); (3900, 0, 96) ]
+    in
+    if all then Sci.Nic.run_all nic plans
+    else List.iter (fun (clock, plan) -> Sci.Nic.run ~clock nic plan) plans;
+    (Mem.Image.read_bytes dst ~off:0 ~len:4096, Clock.now clock, Clock.now other, Sci.Nic.counters nic)
+  in
+  check_bool "run_all ends where run ends" true (go true = go false)
+
 let test_nic_u64_roundtrip () =
   let _, nic, _, dst = fresh_pair () in
   Sci.Nic.write_u64 nic ~dst ~dst_off:16 0xfeedfacecafebeefL;
@@ -507,6 +528,7 @@ let suite =
     ("nic: hops below one rejected", `Quick, test_nic_rejects_zero_hops);
     QCheck_alcotest.to_alcotest prop_walk_equals_bulk;
     ("nic: remote read roundtrip", `Quick, test_nic_read_roundtrip);
+    ("nic: run_all ends where run ends", `Quick, test_nic_run_all_equals_run);
     ("nic: u64 roundtrip", `Quick, test_nic_u64_roundtrip);
     QCheck_alcotest.to_alcotest prop_write_covers_range;
   ]
