@@ -75,32 +75,27 @@ let uncovered t ~off ~len =
 let intervals t = M.fold (fun lo hi acc -> (lo, hi - lo) :: acc) t [] |> List.rev
 let total t = M.fold (fun lo hi acc -> acc + (hi - lo)) t 0
 
-let snap t ~align ~limit =
-  if align <= 0 then invalid_arg "Iset.snap: align must be positive";
-  if limit < 0 then invalid_arg "Iset.snap: negative limit";
-  M.fold
-    (fun lo hi acc ->
-      let lo = lo / align * align in
-      let hi = min limit ((hi + align - 1) / align * align) in
-      add acc ~off:lo ~len:(hi - lo))
-    t M.empty
-
 let glue t ~align =
   if align <= 0 then invalid_arg "Iset.glue: align must be positive";
+  (* Two runs whose [align]-byte line spans touch would share packets
+     anyway: ship their exact hull as one run.  Runs in disjoint line
+     spans keep their exact extents, and a set with no such pair is
+     its own glue. *)
+  let touch hi o = (hi + align - 1) / align * align >= o / align * align in
+  let rec glues = function
+    | (o, l) :: ((o', _) :: _ as rest) -> touch (o + l) o' || glues rest
+    | _ -> false
+  in
   match intervals t with
-  | [] -> empty
-  | (off0, len0) :: rest ->
+  | (off0, len0) :: rest as runs when glues runs ->
       let flush acc lo hi = add acc ~off:lo ~len:(hi - lo) in
-      (* Two runs whose [align]-byte line spans touch would share
-         packets anyway: ship their exact hull as one run.  Runs in
-         disjoint line spans keep their exact extents. *)
       let rec go acc lo hi = function
         | [] -> flush acc lo hi
         | (o, l) :: rest ->
-            if (hi + align - 1) / align * align >= o / align * align then go acc lo (o + l) rest
-            else go (flush acc lo hi) o (o + l) rest
+            if touch hi o then go acc lo (o + l) rest else go (flush acc lo hi) o (o + l) rest
       in
       go empty off0 (off0 + len0) rest
+  | _ -> t
 
 let intersects a b =
   (* Walk the smaller set, probing the larger with predecessor/successor

@@ -45,11 +45,6 @@ val intervals : t -> (int * int) list
 (** All intervals as ascending [(off, len)] pairs — already coalesced
     into maximal contiguous runs. *)
 
-val snap : t -> align:int -> limit:int -> t
-(** [snap t ~align ~limit] widens every interval outward to [align]-byte
-    boundaries, clamped to [\[0, limit)], and re-merges — runs that the
-    widening makes touch collapse into one. *)
-
 val glue : t -> align:int -> t
 (** [glue t ~align] merges intervals whose [align]-byte line spans
     touch or overlap, shipping their exact hull as one run; intervals
@@ -58,6 +53,7 @@ val glue : t -> align:int -> t
     list under [optimized_memcpy] with [align = 64], the SCI
     full-packet line: runs that would share packets anyway stream as
     one fuller burst, while isolated small runs ship no extra bytes.
+    When no two runs share a line span the result is [t] itself.
     Safe for mirrored segments because the hull's gap bytes are
     identical on both sides (see DESIGN.md). *)
 

@@ -119,10 +119,10 @@ let undo_slot ~off ~payload_len = align64 (off + undo_header_size + payload_len)
 let align32 x = (x + 31) land lnot 31
 let undo_slot_packed ~off ~payload_len = align32 (off + undo_header_size + payload_len)
 
-let fnv32 seed data off len =
+let fnv32 seed image off len =
   let h = ref seed in
   for i = off to off + len - 1 do
-    h := (!h lxor Char.code (Bytes.get data i)) * 0x01000193 land 0xFFFFFFFF
+    h := (!h lxor Mem.Image.read_u8 image i) * 0x01000193 land 0xFFFFFFFF
   done;
   !h
 
@@ -131,23 +131,19 @@ let header_checksum_seed (h : undo_header) =
   (0x811c9dc5 lxor mix lxor (h.seg_index * 131) lxor (h.off * 31) lxor (h.len * 7))
   land 0xFFFFFFFF
 
-let encode_undo_header h ~payload =
-  if Bytes.length payload <> h.len then
-    invalid_arg "Layout.encode_undo_header: payload length mismatch";
-  let b = Bytes.create undo_header_size in
-  Bytes.set_int64_le b 0 h.epoch;
-  Bytes.set_int32_le b 8 (Int32.of_int h.seg_index);
-  Bytes.set_int32_le b 12 (Int32.of_int h.off);
-  Bytes.set_int32_le b 16 (Int32.of_int h.len);
-  let crc = fnv32 (header_checksum_seed h) payload 0 h.len in
-  Bytes.set_int32_le b 20 (Int32.of_int crc);
-  b
+let write_undo_header image ~off h =
+  Mem.Image.write_u64 image off h.epoch;
+  Mem.Image.write_u32 image (off + 8) h.seg_index;
+  Mem.Image.write_u32 image (off + 12) h.off;
+  Mem.Image.write_u32 image (off + 16) h.len;
+  Mem.Image.write_u32 image (off + 20)
+    (fnv32 (header_checksum_seed h) image (off + undo_header_size) h.len)
 
 let encode_undo h ~payload =
   if Bytes.length payload <> h.len then invalid_arg "Layout.encode_undo: payload length mismatch";
   let b = Bytes.create (undo_header_size + h.len) in
-  Bytes.blit (encode_undo_header h ~payload) 0 b 0 undo_header_size;
   Bytes.blit payload 0 b undo_header_size h.len;
+  write_undo_header (Mem.Image.of_bytes b) ~off:0 h;
   b
 
 let decode_undo_header b ~off =
@@ -162,5 +158,5 @@ let decode_undo_header b ~off =
 
 let verify_undo b ~off (h : undo_header) =
   let stored = Int32.to_int (Bytes.get_int32_le b (off + 20)) land 0xFFFFFFFF in
-  let crc = fnv32 (header_checksum_seed h) b (off + undo_header_size) h.len in
+  let crc = fnv32 (header_checksum_seed h) (Mem.Image.of_bytes b) (off + undo_header_size) h.len in
   stored = crc

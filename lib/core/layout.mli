@@ -154,11 +154,12 @@ val undo_slot_packed : off:int -> payload_len:int -> int
 val encode_undo : undo_header -> payload:bytes -> bytes
 (** Header and payload as one buffer, checksummed. *)
 
-val encode_undo_header : undo_header -> payload:bytes -> bytes
-(** The 24-byte header alone, checksummed over [payload] (which is not
-    included in the result).  Group commit uses this to retag a staged
-    record's epoch in place — the payload bytes are already in the log,
-    only the header changes. *)
+val write_undo_header : Mem.Image.t -> off:int -> undo_header -> unit
+(** Write the 24-byte header at [off], checksummed over the payload
+    already in place behind it.  PERSEAS cuts each record straight into
+    its local log this way — the before-image is copied into the slot,
+    then the header written over its head — and group commit retags a
+    staged record's epoch the same way. *)
 
 val decode_undo_header : bytes -> off:int -> undo_header option
 (** [None] if the bytes at [off] cannot be a record header (bad sizes).

@@ -236,10 +236,13 @@ let sink t = t.sink
 
 (* Record [f]'s virtual-time extent as one span.  The span is emitted
    even when [f] raises (mirror loss mid-phase) so per-phase sums still
-   equal end-to-end latency on failure paths. *)
+   equal end-to-end latency on failure paths.  Like {!with_ctx}'s tags,
+   the span's [args] are a thunk, forced before [f] runs and only while
+   the sink is live: with tracing off no argument string is built. *)
 let traced t ?(cat = "txn") ?args ~name f =
   if not (Trace.Sink.enabled t.sink) then f ()
   else begin
+    let args = Option.map (fun a -> a ()) args in
     let start = Clock.now (clock t) in
     match f () with
     | r ->
@@ -284,7 +287,7 @@ let live_mirrors t = List.map mirror_node_id (live_mirror_list t)
 let mirrors t =
   Array.to_list t.mirrors |> List.map (fun m -> { node_id = mirror_node_id m; alive = m.m_alive })
 
-let mirror_count t = List.length (live_mirror_list t)
+let mirror_count t = Array.fold_left (fun n m -> if m.m_alive then n + 1 else n) 0 t.mirrors
 
 (* Degraded-time accounting: a window opens when the live-mirror count
    falls below [repl_target] and closes when it recovers.  Pure
@@ -703,25 +706,58 @@ let append_chunks t m a =
 let union_by_seg = Imap.union (fun _ a b -> Some (Iset.union a b))
 let batch_wset batch = List.fold_left (fun acc txn -> union_by_seg acc txn.wset) Imap.empty batch
 let seg_of_index t index = List.find (fun s -> s.index = index) t.segs
+let seg_runs seg intervals acc =
+  List.fold_left (fun acc (off, len) -> (seg, off, len) :: acc) acc intervals
 
-(* The append a batch of transactions makes: the runs of chunks it
-   touched that the list does not name yet — nothing unless the list is
-   kept. *)
-let batch_append t batch =
-  let runs =
-    if not (listing t) then []
-    else
-      unlisted t
-        (chunk_runs
-           (List.rev
-              (Imap.fold
-                 (fun index iset acc ->
-                   let seg = seg_of_index t index in
-                   List.fold_left
-                     (fun acc (off, len) -> (seg, off, len) :: acc)
-                     acc (Iset.intervals iset))
-                 (batch_wset batch) [])))
+(* A write-set's coalesced [(seg, off, len)] runs in segment-index
+   order, byte for byte (no packet snapping): what the dirty log records
+   — incremental resync widens at the NIC layer anyway — and what the
+   dirty-chunk list appends from. *)
+let exact_runs t wset =
+  List.rev
+    (Imap.fold
+       (fun index iset acc -> seg_runs (seg_of_index t index) (Iset.intervals iset) acc)
+       wset [])
+
+(* Everything a commit reads off a write-set, from one walk: its bytes,
+   its {!exact_runs}, and its data propagation list.  The propagation
+   list is the exact runs, except that under [optimized_memcpy] runs
+   whose 64-byte SCI line spans touch are glued into one exact hull so
+   they stream as a single fuller burst.  Shipping a hull's gap bytes
+   is safe for the same reason the NIC-level widening is: bytes outside
+   the written ranges are identical on both sides, and recovery's undo
+   replay restores any early-propagated declared byte.  Batch members
+   are line-disjoint by the conflict rules, so a cross-transaction hull
+   never ships a byte an open transaction has dirtied. *)
+type wset_runs = {
+  bytes : int;
+  exact : (segment * int * int) list;
+  data : (segment * int * int) list;
+}
+
+let wset_runs t wset =
+  let bytes, exact, data =
+    Imap.fold
+      (fun index iset (bytes, exact, data) ->
+        let seg = seg_of_index t index in
+        let runs = Iset.intervals iset in
+        let glued =
+          if not t.config.optimized_memcpy then runs
+          else
+            let g = Iset.glue iset ~align:64 in
+            if g == iset then runs else Iset.intervals g
+        in
+        ( List.fold_left (fun acc (_, len) -> acc + len) bytes runs,
+          seg_runs seg runs exact,
+          seg_runs seg glued data ))
+      wset (0, [], [])
   in
+  { bytes; exact = List.rev exact; data = List.rev data }
+
+(* The append exact runs [exact] make: the runs of chunks they touch
+   that the list does not name yet — nothing unless the list is kept. *)
+let list_append t exact =
+  let runs = if not (listing t) then [] else unlisted t (chunk_runs exact) in
   { a_pos = t.dirty_pos; a_runs = List.filteri (fun i _ -> t.dirty_pos + i < Layout.dirty_capacity) runs }
 
 let begin_transaction ?(client = "default") t =
@@ -734,7 +770,8 @@ let begin_transaction ?(client = "default") t =
   (match List.find_opt (fun x -> x.t_client = client) t.open_txns with
   | Some _ -> raise (Double_begin client)
   | None -> ());
-  traced t ~name:"begin" ~args:[ ("client", client) ] (fun () -> Clock.advance (clock t) t_begin);
+  traced t ~name:"begin" ~args:(fun () -> [ ("client", client) ]) (fun () ->
+      Clock.advance (clock t) t_begin);
   let id = t.next_txn_id in
   t.next_txn_id <- id + 1;
   let txn =
@@ -794,18 +831,7 @@ let close txn =
 let txn_iset txn seg =
   match Imap.find_opt seg.index txn.wset with Some s -> s | None -> Iset.empty
 
-(* The write-set as coalesced [(seg_index, off, len)] runs — what the
-   dirty log records for this transaction.  Exact bytes (no packet
-   snapping): the dirty log feeds incremental resync, which widens at
-   the NIC layer anyway. *)
-let dirty_runs txn =
-  List.rev
-    (Imap.fold
-       (fun index iset acc ->
-         List.fold_left (fun acc (off, len) -> (index, off, len) :: acc) acc (Iset.intervals iset))
-       txn.wset [])
-
-(* Record coalesced [(seg_index, off, len)] runs in the dirty log so an
+(* Record a write-set's {!exact_runs} in the dirty log so an
    ex-mirror can later be resynced incrementally.  [tag] is the lowest
    epoch whose confirmation implies a mirror already holds these bytes;
    tags never decrease along the queue.  The log is bounded: past
@@ -816,8 +842,8 @@ let dirty_log_limit = 4096
 
 let note_dirty t ~tag runs =
   List.iter
-    (fun (seg_index, off, len) ->
-      Queue.push { d_epoch = tag; d_seg = seg_index; d_off = off; d_len = len } t.dirty)
+    (fun (seg, off, len) ->
+      Queue.push { d_epoch = tag; d_seg = seg.index; d_off = off; d_len = len } t.dirty)
     runs;
   while Queue.length t.dirty > dirty_log_limit do
     t.dirty_floor <- Int64.max t.dirty_floor (Queue.pop t.dirty).d_epoch
@@ -838,7 +864,7 @@ let rollback_local txn =
      transaction even though it rolled back locally: conservatively
      mark the ranges dirty at the epoch the next commit will stamp so
      an incremental resync of that mirror re-copies them. *)
-  note_dirty t ~tag:(Int64.add t.epoch 1L) (dirty_runs txn)
+  note_dirty t ~tag:(Int64.add t.epoch 1L) (exact_runs t txn.wset)
 
 (* Losing the last mirror mid-operation must not wedge the library:
    roll the local image back to the pre-transaction state, close the
@@ -848,7 +874,8 @@ let guard_mirror_loss txn f =
   try f ()
   with All_mirrors_lost ->
     let t = txn.owner in
-    traced t ~name:"abort" ~args:[ ("reason", "all_mirrors_lost") ] (fun () -> rollback_local txn);
+    traced t ~name:"abort" ~args:(fun () -> [ ("reason", "all_mirrors_lost") ]) (fun () ->
+        rollback_local txn);
     t.st.aborts <- t.st.aborts + 1;
     close txn;
     Log.warn (fun k ->
@@ -868,34 +895,6 @@ let guard_mirror_loss txn f =
    [config.group_commit] and recovery receives the engine's config. *)
 let undo_slot_of t =
   if t.config.group_commit <= 1 then Layout.undo_slot else Layout.undo_slot_packed
-
-(* The data propagation list for a batch of transactions: the
-   per-segment union of their write-sets — adjacent and overlapping
-   declarations merged into maximal runs — and, under
-   [optimized_memcpy], runs whose 64-byte SCI line spans touch glued
-   into one exact hull so they stream as a single fuller burst.
-   Shipping a hull's gap bytes is safe for the same reason the
-   NIC-level widening is: bytes outside the written ranges are
-   identical on both sides, and recovery's undo replay restores any
-   early-propagated declared byte.  Batch members are line-disjoint by
-   the conflict rules, so a cross-transaction hull never ships a byte an
-   open transaction has dirtied. *)
-let batch_data_runs t batch =
-  List.rev
-    (Imap.fold
-       (fun index iset acc ->
-         let seg = seg_of_index t index in
-         let iset = if t.config.optimized_memcpy then Iset.glue iset ~align:64 else iset in
-         List.fold_left (fun acc (off, len) -> (seg, off, len) :: acc) acc (Iset.intervals iset))
-       (batch_wset batch) [])
-
-(* One commit's propagation list: with elision, the one-transaction
-   batch; without, the raw declared ranges, oldest first — the
-   differential-testing oracle. *)
-let commit_runs txn =
-  let t = txn.owner in
-  if t.config.redundancy_elision then batch_data_runs t [ txn ]
-  else List.rev_map (fun r -> (r.r_seg, r.r_off, r.r_len)) txn.ranges
 
 let plans_for t runs i m =
   List.map
@@ -934,21 +933,28 @@ let phase_plans t phase i m =
    peers committed are re-pushed whole (a joiner recruited
    mid-transaction has no payload for them yet, so a header-only push
    would leave its log torn); sequentially tags are always current and
-   that phase is absent. *)
-let commit_phases txn =
+   that phase is absent.  The propagation list is the write-set's data
+   runs [w] with elision, and without it the raw declared ranges,
+   oldest first — the differential-testing oracle. *)
+let commit_phases txn w =
   let t = txn.owner in
   let stale = List.filter (fun r -> r.r_tag <> t.epoch) txn.ranges in
-  (if stale = [] then [] else [ Undo stale ])
-  @ [ Propagate (commit_runs txn) ]
-  @ (match batch_append t [ txn ] with { a_runs = []; _ } -> [] | a -> [ Segmeta a ])
-  @ [ Fence ]
+  let runs =
+    if t.config.redundancy_elision then w.data
+    else List.rev_map (fun r -> (r.r_seg, r.r_off, r.r_len)) txn.ranges
+  in
+  let tail =
+    match list_append t w.exact with
+    | { a_runs = []; _ } -> [ Propagate runs; Fence ]
+    | a -> [ Propagate runs; Segmeta a; Fence ]
+  in
+  if stale = [] then tail else Undo stale :: tail
 
 (* Run one phase on every live mirror, one span per mirror.  The commit
    phases to one node form one "convoy" (key [t<id>]) as far as the
    causal ordering invariants go. *)
 let run_phase txn phase =
   let t = txn.owner in
-  let id = string_of_int txn.t_id in
   let op =
     match phase with
     | Undo _ -> "remote_undo"
@@ -957,9 +963,10 @@ let run_phase txn phase =
     | Fence -> "commit_fence"
   in
   each_live_mirror t (fun i m ->
-      traced t ~name:op ~args:[ ("mirror", string_of_int i) ] (fun () ->
+      traced t ~name:op ~args:(fun () -> [ ("mirror", string_of_int i) ]) (fun () ->
           with_ctx t
             (fun () ->
+              let id = string_of_int txn.t_id in
               let convoy = match phase with Undo _ -> [] | _ -> [ ("convoy", "t" ^ id) ] in
               let epoch =
                 match phase with
@@ -984,11 +991,11 @@ let log_undo_record txn seg ~off ~len =
     { r_seg = seg; r_off = off; r_len = len; staging_off = slot + Layout.undo_header_size; r_tag = t.epoch }
   in
   traced t ~name:"local_undo" (fun () ->
-      let payload = Mem.Image.read_bytes image ~off:(Mem.Segment.base seg.local + off) ~len in
-      let record =
-        Layout.encode_undo { Layout.epoch = t.epoch; seg_index = seg.index; off; len } ~payload
-      in
-      Mem.Image.write_bytes image ~off:(Mem.Segment.base t.undo_local + slot) record;
+      let at = Mem.Segment.base t.undo_local + slot in
+      Mem.Image.blit ~src:image ~src_off:(Mem.Segment.base seg.local + off) ~dst:image
+        ~dst_off:(at + Layout.undo_header_size) ~len;
+      Layout.write_undo_header image ~off:at
+        { Layout.epoch = t.epoch; seg_index = seg.index; off; len };
       charge_local_copy t record_len);
   (* Eager mode pipelines each record to the remote logs as it is cut
      (Figure 3, step 2).  Group mode defers: the whole live log ships
@@ -1023,16 +1030,9 @@ let retag_records t txn =
   List.iter
     (fun r ->
       if r.r_tag <> t.epoch then begin
-        let slot = r.staging_off - Layout.undo_header_size in
-        let payload =
-          Mem.Image.read_bytes image ~off:(Mem.Segment.base t.undo_local + r.staging_off) ~len:r.r_len
-        in
-        let header =
-          Layout.encode_undo_header
-            { Layout.epoch = t.epoch; seg_index = r.r_seg.index; off = r.r_off; len = r.r_len }
-            ~payload
-        in
-        Mem.Image.write_bytes image ~off:(Mem.Segment.base t.undo_local + slot) header;
+        Layout.write_undo_header image
+          ~off:(Mem.Segment.base t.undo_local + r.staging_off - Layout.undo_header_size)
+          { Layout.epoch = t.epoch; seg_index = r.r_seg.index; off = r.r_off; len = r.r_len };
         charge_local_copy t Layout.undo_header_size;
         r.r_tag <- t.epoch
       end)
@@ -1084,8 +1084,8 @@ let flush_undo_chunks batch =
    and [flush_step_count] counts it. *)
 let flush_convoy t batch =
   let undo_chunks = flush_undo_chunks batch in
-  let runs = batch_data_runs t batch in
-  let append = batch_append t batch in
+  let w = wset_runs t (batch_wset batch) in
+  let append = list_append t w.exact in
   let chunks i m =
     List.map
       (fun (dst, src, len) ->
@@ -1099,7 +1099,7 @@ let flush_convoy t batch =
             off,
             Mem.Segment.base seg.local + off,
             len ))
-        runs
+        w.data
     (* The batch's dirty-list append rides in the same convoy, after
        the data and before the fence — the convoy stays one burst and
        the fence stays strictly last. *)
@@ -1166,20 +1166,25 @@ let flush t =
     let append, plan = flush_convoy t batch in
     stage_append t (Int64.add t.epoch 1L) append;
     t.convoy_seq <- t.convoy_seq + 1;
-    let convoy_key = "c" ^ string_of_int t.convoy_seq in
-    let batch_ids = String.concat "+" (List.map (fun x -> string_of_int x.t_id) batch) in
-    let args = [ ("txns", string_of_int n); ("batch", batch_ids) ] in
+    let convoy = t.convoy_seq in
+    let batch_ids () = String.concat "+" (List.map (fun x -> string_of_int x.t_id) batch) in
     (try
        with_staged_epoch t (Int64.add t.epoch 1L) (fun () ->
            each_live_mirror t (fun i m ->
-               traced t ~name:"flush_convoy" ~args:(("mirror", string_of_int i) :: args)
+               traced t ~name:"flush_convoy"
+                 ~args:(fun () ->
+                   [
+                     ("mirror", string_of_int i);
+                     ("txns", string_of_int n);
+                     ("batch", batch_ids ());
+                   ])
                  (fun () ->
                    with_ctx t
                      (fun () ->
                        [
                          ("op", "flush_convoy");
-                         ("batch", batch_ids);
-                         ("convoy", convoy_key);
+                         ("batch", batch_ids ());
+                         ("convoy", "c" ^ string_of_int convoy);
                          ("mirror", string_of_int i);
                          ("node", string_of_int (mirror_node_id m));
                          ("epoch", Int64.to_string (Int64.add t.epoch 1L));
@@ -1192,7 +1197,7 @@ let flush t =
           order does not matter. *)
        List.iter
          (fun txn ->
-           traced t ~name:"abort" ~args:[ ("reason", "all_mirrors_lost") ] (fun () ->
+           traced t ~name:"abort" ~args:(fun () -> [ ("reason", "all_mirrors_lost") ]) (fun () ->
                rollback_local txn))
          (List.rev batch);
        t.st.aborts <- t.st.aborts + n;
@@ -1201,7 +1206,7 @@ let flush t =
        Log.warn (fun k -> k "all mirrors lost mid-flush: %d staged transaction(s) rolled back" n);
        raise All_mirrors_lost);
     t.epoch <- Int64.add t.epoch 1L;
-    List.iter (fun txn -> note_dirty t ~tag:t.epoch (dirty_runs txn)) batch;
+    List.iter (fun txn -> note_dirty t ~tag:t.epoch (exact_runs t txn.wset)) batch;
     t.st.committed <- t.st.committed + n;
     t.st.group_flushes <- t.st.group_flushes + 1;
     t.st.group_commit_txns <- t.st.group_commit_txns + n;
@@ -1219,7 +1224,7 @@ let set_range txn seg ~off ~len =
      (the cost model, notably) can replay the write-set arithmetic
      without participating in the run. *)
   traced t ~name:"set_range"
-    ~args:
+    ~args:(fun () ->
       [
         ("txn", string_of_int txn.t_id);
         ("seg", seg.seg_name);
@@ -1227,7 +1232,7 @@ let set_range txn seg ~off ~len =
         ("off", string_of_int off);
         ("len", string_of_int len);
         ("size", string_of_int seg.size);
-      ]
+      ])
     (fun () -> Clock.advance (clock t) t_set_range);
   (* Conflict detection at 64-byte-line granularity — the unit the NIC
      widening and commit glue may ship margin bytes at, so line-level
@@ -1239,21 +1244,21 @@ let set_range txn seg ~off ~len =
        committed state;
      - against an OPEN transaction the younger aborts — an older
        transaction has done more work and is closer to committing, so
-       the cheaper loser retries (see DESIGN.md). *)
-  let line_limit = (seg.size + 63) / 64 * 64 in
+       the cheaper loser retries (see DESIGN.md).
+     The declared span covers whole lines, so a peer's byte lies in it
+     exactly when that byte's line is declared: intersecting the span
+     with the peer's write-set as it stands is the line-level test. *)
   let decl_lines =
     let lo = off / 64 * 64 in
-    Iset.add Iset.empty ~off:lo ~len:(min line_limit ((off + len + 63) / 64 * 64) - lo)
+    Iset.add Iset.empty ~off:lo ~len:(((off + len + 63) / 64 * 64) - lo)
   in
-  let peer_lines peer =
+  let clashes peer =
     match Imap.find_opt seg.index peer.wset with
-    | None -> Iset.empty
-    | Some is -> Iset.snap is ~align:64 ~limit:line_limit
+    | None -> false
+    | Some is -> Iset.intersects decl_lines is
   in
-  if List.exists (fun p -> Iset.intersects decl_lines (peer_lines p)) t.staged then flush t;
-  let clashing =
-    List.filter (fun p -> p != txn && Iset.intersects decl_lines (peer_lines p)) t.open_txns
-  in
+  if List.exists clashes t.staged then flush t;
+  let clashing = List.filter (fun p -> p != txn && clashes p) t.open_txns in
   (match List.find_opt (fun p -> p.t_id < txn.t_id) clashing with
   | Some older ->
       (* The declarer is the younger party: roll it back and surface
@@ -1261,7 +1266,7 @@ let set_range txn seg ~off ~len =
       t.st.conflicts <- t.st.conflicts + 1;
       t.st.aborts <- t.st.aborts + 1;
       traced t ~name:"abort"
-        ~args:[ ("reason", "conflict"); ("txn", string_of_int txn.t_id) ]
+        ~args:(fun () -> [ ("reason", "conflict"); ("txn", string_of_int txn.t_id) ])
         (fun () -> rollback_local txn);
       close txn;
       raise (Conflict { younger = txn.t_id; older = older.t_id })
@@ -1274,7 +1279,7 @@ let set_range txn seg ~off ~len =
           t.st.conflicts <- t.st.conflicts + 1;
           t.st.aborts <- t.st.aborts + 1;
           traced t ~name:"abort"
-            ~args:[ ("reason", "conflict"); ("txn", string_of_int victim.t_id) ]
+            ~args:(fun () -> [ ("reason", "conflict"); ("txn", string_of_int victim.t_id) ])
             (fun () -> rollback_local victim);
           victim.ranges <- [];
           victim.wset <- Imap.empty;
@@ -1318,13 +1323,12 @@ let set_range txn seg ~off ~len =
 let commit txn =
   check_open txn "commit";
   let t = txn.owner in
-  traced t ~name:"commit" ~args:[ ("txn", string_of_int txn.t_id) ] (fun () ->
+  traced t ~name:"commit" ~args:(fun () -> [ ("txn", string_of_int txn.t_id) ]) (fun () ->
       Clock.advance (clock t) t_commit);
+  let w = wset_runs t txn.wset in
   if t.config.redundancy_elision then begin
-    let wset_total = Imap.fold (fun _ iset acc -> acc + Iset.total iset) txn.wset 0 in
-    let runs_now = List.length (commit_runs txn) in
-    t.st.coalesced_ranges <- t.st.coalesced_ranges + max 0 (txn.declared - runs_now);
-    t.st.commit_bytes_saved <- t.st.commit_bytes_saved + max 0 (txn.declared_bytes - wset_total)
+    t.st.coalesced_ranges <- t.st.coalesced_ranges + max 0 (txn.declared - List.length w.data);
+    t.st.commit_bytes_saved <- t.st.commit_bytes_saved + max 0 (txn.declared_bytes - w.bytes)
   end;
   if t.config.group_commit <= 1 then begin
     (* Figure 3, step 3: propagate updated ranges to every mirror, then
@@ -1343,9 +1347,9 @@ let commit txn =
                 stage_append t e a;
                 run_phase txn phase
             | Fence -> with_staged_epoch t e (fun () -> run_phase txn phase))
-          (commit_phases txn));
+          (commit_phases txn w));
     t.epoch <- Int64.add t.epoch 1L;
-    note_dirty t ~tag:t.epoch (dirty_runs txn);
+    note_dirty t ~tag:t.epoch w.exact;
     t.st.committed <- t.st.committed + 1;
     close txn
   end
@@ -1387,7 +1391,7 @@ let commit_packets txn =
   check_open txn "commit_packets";
   let t = txn.owner in
   if t.config.group_commit <= 1 then
-    let phases = commit_phases txn in
+    let phases = commit_phases txn (wset_runs t txn.wset) in
     dry_run t (fun i m -> List.concat_map (fun phase -> phase_plans t phase i m) phases)
   else
     (* The transaction's MARGINAL packets: what the flush costs with it
@@ -1408,7 +1412,7 @@ let abort txn =
   | Closed -> failwith "Perseas.abort: transaction is closed"
   | Open ->
       let t = txn.owner in
-      traced t ~name:"abort" ~args:[ ("txn", string_of_int txn.t_id) ] (fun () ->
+      traced t ~name:"abort" ~args:(fun () -> [ ("txn", string_of_int txn.t_id) ]) (fun () ->
           rollback_local txn);
       t.st.aborts <- t.st.aborts + 1;
       close txn
@@ -1687,7 +1691,8 @@ let do_attach ~op ~allow_incremental t ~server =
       t.segs
   in
   try
-    traced t ~cat:"mirror" ~name:"resync" ~args:[ ("node", string_of_int node_id) ] @@ fun () ->
+    traced t ~cat:"mirror" ~name:"resync" ~args:(fun () -> [ ("node", string_of_int node_id) ])
+    @@ fun () ->
     with_ctx t (fun () -> [ ("op", "resync"); ("node", string_of_int node_id) ]) @@ fun () ->
     let report =
       match incremental with
@@ -2607,20 +2612,37 @@ let recover_replicated ?(config = default_config) ?(sink = Trace.Sink.noop) ?hoo
      the mirror otherwise, one remote-to-local copy per segment (paper,
      end of section 3) — and then every chunk the list names comes from
      the mirror, over the slot's bytes.  Remote reads are NIC read plans
-     dealt round-robin to 1 + N streams, the helper nodes each pulling a
-     share: virtual time advances by the slowest stream plus one
-     coordination round trip per helper.  Stream costs are charged at
-     this node's hop count — a deliberate simplification: the helpers
-     sit on the same SCI ring. *)
+     dealt to 1 + N streams, the helper nodes each pulling a share: each
+     plan goes to the stream with the least virtual time dealt so far,
+     and virtual time advances by the slowest stream plus one
+     coordination round trip per helper.  A segment read larger than
+     one stream's share of the image bytes is cut into reads of that
+     size, so a database dominated by one table still spreads over the
+     streams.  Stream costs are charged at this node's hop count — a
+     deliberate simplification: the helpers sit on the same SCI ring. *)
   let nstreams = 1 + List.length helpers in
   let start = Clock.now clk in
   let streams =
     if nstreams = 1 then [| clk |] else Array.init nstreams (fun _ -> Clock.create ~at:start ())
   in
-  let plans = ref [] and dealt = ref 0 in
+  let dealt = Array.make nstreams Time.zero in
+  let plans = ref [] in
   let fetch plan =
-    plans := (streams.(!dealt mod nstreams), plan) :: !plans;
-    incr dealt
+    let s = ref 0 in
+    Array.iteri (fun i d -> if d < dealt.(!s) then s := i) dealt;
+    dealt.(!s) <- dealt.(!s) + Sci.Nic.plan_latency plan;
+    plans := (streams.(!s), plan) :: !plans
+  in
+  let share = Layout.align64 ((List.fold_left ( + ) 0 sizes + nstreams - 1) / nstreams) in
+  let fetch_image planner ~seg_off ~dst_off ~len =
+    let rec cut off =
+      if off < len then begin
+        let n = min share (len - off) in
+        fetch (planner ~seg_off:(seg_off + off) ~dst_off:(dst_off + off) ~len:n);
+        cut (off + n)
+      end
+    in
+    cut 0
   in
   let fetch_segment index (((name, size, handle), slot_off), chunk0) =
     let local =
@@ -2634,10 +2656,12 @@ let recover_replicated ?(config = default_config) ?(sink = Trace.Sink.noop) ?hoo
     in
     let base = Mem.Segment.base local in
     (match adopt with
-    | None -> fetch (Client.read_planner client handle ~dst:image ~seg_off:0 ~dst_off:base ~len:size)
+    | None ->
+        fetch_image (Client.read_planner client handle ~dst:image) ~seg_off:0 ~dst_off:base
+          ~len:size
     | Some (In_place _, _) -> ()
     | Some (Remote_slot (c, h), _) ->
-        fetch (Client.read_planner c h ~dst:image ~seg_off:slot_off ~dst_off:base ~len:size)
+        fetch_image (Client.read_planner c h ~dst:image) ~seg_off:slot_off ~dst_off:base ~len:size
     | Some (Disk_slot (device, sbase), _) ->
         (match hook with Some f -> f () | None -> ());
         Mem.Image.write_bytes image ~off:base
@@ -3058,14 +3082,17 @@ module Shard = struct
             ])
 
   let cross_instant sh x =
-    let shards_arg = String.concat "+" (List.map string_of_int x.x_shards) in
     List.iter
       (fun sid ->
         let d = sh.members.(sid).sh_db in
         if Trace.Sink.enabled d.sink then
           Trace.Sink.instant d.sink ~cat:"cluster" ~name:"cross_commit"
             ~at:(Clock.now (clock d))
-            ~args:[ ("xid", string_of_int x.x_id); ("shards", shards_arg) ])
+            ~args:
+              [
+                ("xid", string_of_int x.x_id);
+                ("shards", String.concat "+" (List.map string_of_int x.x_shards));
+              ])
       x.x_shards
 
   (* Run one queued cross-shard transaction: open a sub-transaction on

@@ -531,9 +531,12 @@ val recover_replicated :
     commit.
 
     [helpers] are other cluster nodes recruited to pull remote reads in
-    parallel: the reads are dealt round-robin to [1 + N] streams and
-    virtual time advances by the slowest stream plus one coordination
-    round trip per helper.
+    parallel: each read goes to the least-loaded of [1 + N] streams (by
+    its {!Sci.Nic.plan_latency}), a segment read larger than one
+    stream's share of the image bytes is cut into reads of that size,
+    and virtual time advances by the slowest stream plus one
+    coordination round trip per helper.  Without helpers the reads and
+    the time are those of a single stream, one read per segment.
 
     [sink] traces recovery as four contiguous [recovery]-category spans
     — [probe], [repair], [fetch_db], [resync_mirrors] — partitioning

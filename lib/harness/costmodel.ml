@@ -248,7 +248,7 @@ let on_set_range t args =
       set_seg_iset x idx (Iset.add prior ~off ~len)
   | _ -> ()
 
-(* The commit propagation list, replicated from [Perseas.commit_runs]:
+(* The commit propagation list, replicated from [Perseas.commit]'s:
    with elision the per-segment coalesced runs (line-glued under
    optimized_memcpy), without it the raw logged fragments oldest first
    — each run one widened remote write into its data segment.  Packet

@@ -25,6 +25,7 @@ type 'a slot = Idle | Retry of 'a | Open of Perseas.txn * 'a
 let run t ~clients ~total (spec : 'a spec) =
   if clients < 1 then invalid_arg "Multi_client.run: clients must be positive";
   let state = Array.make clients Idle in
+  let names = Array.init clients client_name in
   let committed = ref 0 and conflicts = ref 0 and attempts = ref 0 in
   let i = ref 0 in
   (* A client whose begin+declare succeeded leaves its transaction open
@@ -40,7 +41,7 @@ let run t ~clients ~total (spec : 'a spec) =
     | Idle | Retry _ -> (
         let d = match state.(c) with Retry d -> d | _ -> spec.prepare c in
         incr attempts;
-        let txn = Perseas.begin_transaction ~client:(client_name c) t in
+        let txn = Perseas.begin_transaction ~client:names.(c) t in
         match spec.declare txn d with
         | () -> state.(c) <- Open (txn, d)
         | exception Perseas.Conflict _ ->
@@ -96,6 +97,7 @@ let run_sharded router ~clients ~total ?(cross_every = 0) ?(cross = fun () -> []
   if clients < 1 then invalid_arg "Multi_client.run_sharded: clients must be positive";
   let shards = Perseas.Shard.shards router in
   let state = Array.init shards (fun _ -> Array.make clients Idle) in
+  let names = Array.init clients client_name in
   let turn_of = Array.make shards 0 in
   let committed = ref 0 and conflicts = ref 0 and attempts = ref 0 in
   let injected = ref 0 in
@@ -125,7 +127,7 @@ let run_sharded router ~clients ~total ?(cross_every = 0) ?(cross = fun () -> []
           match slots.(c) with Retry d -> d | _ -> spec.sh_prepare ~shard:s ~client:c
         in
         incr attempts;
-        let txn = Perseas.begin_transaction ~client:(client_name c) t in
+        let txn = Perseas.begin_transaction ~client:names.(c) t in
         match spec.sh_declare ~shard:s txn d with
         | () -> slots.(c) <- Open (txn, d)
         | exception Perseas.Conflict _ ->

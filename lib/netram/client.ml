@@ -1,7 +1,19 @@
 open Sim
 module Node = Cluster.Node
 
-type t = { cluster : Cluster.t; local : int; server : Server.t }
+(* Everything a plan needs is resolved once, here: the NIC, the hop
+   count and both DRAM images.  A node's image is never replaced (a
+   crash wipes it in place), so the handles stay valid for the client's
+   life; reachability is still checked on every plan. *)
+type t = {
+  cluster : Cluster.t;
+  local : int;
+  server : Server.t;
+  nic : Sci.Nic.t;
+  hops : int;
+  local_dram : Mem.Image.t;
+  remote_dram : Mem.Image.t;
+}
 
 exception Unreachable of string
 
@@ -17,17 +29,24 @@ let ensure_reachable t op =
 let create ~cluster ~local ~server =
   let server_id = Node.id (Server.node server) in
   if server_id = local then invalid_arg "Client.create: client and server share a node";
-  ignore (Cluster.node cluster local);
-  { cluster; local; server }
+  {
+    cluster;
+    local;
+    server;
+    nic = Cluster.nic cluster;
+    hops = Cluster.hops cluster ~src:local ~dst:server_id;
+    local_dram = Node.dram (Cluster.node cluster local);
+    remote_dram = Server.dram server;
+  }
 
 let cluster t = t.cluster
 let local_node t = Cluster.node t.cluster t.local
 let server t = t.server
-let hops t = Cluster.hops t.cluster ~src:t.local ~dst:(Node.id (Server.node t.server))
+let hops t = t.hops
 
 let rpc_time t =
-  let p = Sci.Nic.params (Cluster.nic t.cluster) in
-  let hop_extra = (hops t - 1 + (Cluster.size t.cluster - hops t - 1)) * p.t_hop in
+  let p = Sci.Nic.params t.nic in
+  let hop_extra = (t.hops - 1 + (Cluster.size t.cluster - t.hops - 1)) * p.t_hop in
   (* Request out, reply back around the ring, plus server handling. *)
   (2 * (p.t_base + p.t_pkt16)) + hop_extra + Time.us 2.0
 
@@ -38,14 +57,13 @@ let rpc_time t =
 let charge_rpc t op =
   let clock = Cluster.clock t.cluster in
   Clock.advance clock (rpc_time t);
-  Sci.Nic.note_rpc (Cluster.nic t.cluster);
-  let nic = Cluster.nic t.cluster in
-  let sink = Sci.Nic.sink nic in
+  Sci.Nic.note_rpc t.nic;
+  let sink = Sci.Nic.sink t.nic in
   if Trace.Sink.enabled sink then
     Trace.Sink.instant sink ~cat:"netram" ~name:"rpc" ~at:(Clock.now clock)
       ~args:
         ([ ("tag", "rpc"); ("op", op); ("server", string_of_int (Node.id (Server.node t.server))) ]
-        @ List.filter (fun (k, _) -> k <> "tag" && k <> "op") (Sci.Nic.ctx nic))
+        @ List.filter (fun (k, _) -> k <> "tag" && k <> "op") (Sci.Nic.ctx t.nic))
 
 (* One control round trip that answers "is the server there?" instead
    of raising: the cost is charged whether the reply comes back or the
@@ -75,7 +93,7 @@ let check_handle t (h : Remote_segment.t) op =
     failwith (Printf.sprintf "Client.%s: handle %s belongs to another server" op h.name);
   if h.owner_generation <> Node.crashes_since_start (Server.node t.server) then
     unreachable t op (Printf.sprintf "rebooted; handle %s is stale" h.name);
-  if not (Server.is_exported t.server h) then
+  if not h.exported then
     failwith (Printf.sprintf "Client.%s: handle %s is no longer exported" op h.name)
 
 let check_range (h : Remote_segment.t) ~seg_off ~len op =
@@ -84,14 +102,11 @@ let check_range (h : Remote_segment.t) ~seg_off ~len op =
       (Printf.sprintf "Client.%s: range [%d,+%d) outside segment %s of %d bytes" op seg_off len
          h.name (Remote_segment.len h))
 
-let remote_dram t = Node.dram (Server.node t.server)
-
 let do_plan_write ?window t (h : Remote_segment.t) ~seg_off ~src_off ~len =
   check_handle t h "write";
   check_range h ~seg_off ~len "write";
-  Sci.Nic.plan_write (Cluster.nic t.cluster) ~hops:(max 1 (hops t)) ~tag:"bulk" ?window
-    ~src:(Node.dram (local_node t)) ~src_off ~dst:(remote_dram t)
-    ~dst_off:(Remote_segment.base h + seg_off) ~len ()
+  Sci.Nic.plan_write t.nic ~hops:t.hops ~tag:"bulk" ?window ~src:t.local_dram ~src_off
+    ~dst:t.remote_dram ~dst_off:(Remote_segment.base h + seg_off) ~len ()
 
 let plan_write t ?(widen = true) h ~seg_off ~src_off ~len =
   if widen then do_plan_write ~window:h.Remote_segment.seg t h ~seg_off ~src_off ~len
@@ -104,40 +119,37 @@ let plan_convoy t chunks =
     {
       Sci.Nic.ck_tag = tag;
       ck_window = (if widen then Some h.Remote_segment.seg else None);
-      ck_src = Node.dram (local_node t);
+      ck_src = t.local_dram;
       ck_src_off = src_off;
-      ck_dst = remote_dram t;
+      ck_dst = t.remote_dram;
       ck_dst_off = Remote_segment.base h + seg_off;
       ck_len = len;
     }
   in
-  Sci.Nic.plan_convoy (Cluster.nic t.cluster) ~hops:(max 1 (hops t)) (List.map mk chunks)
+  Sci.Nic.plan_convoy t.nic ~hops:t.hops (List.map mk chunks)
 
-let write t h ~seg_off ~src_off ~len =
-  Sci.Nic.run (Cluster.nic t.cluster) (plan_write t h ~seg_off ~src_off ~len)
+let write t h ~seg_off ~src_off ~len = Sci.Nic.run t.nic (plan_write t h ~seg_off ~src_off ~len)
 
 let read_planner t (h : Remote_segment.t) ~dst =
   check_handle t h "read";
-  let nic = Cluster.nic t.cluster and hops = max 1 (hops t) and src = remote_dram t in
   fun ~seg_off ~dst_off ~len ->
     check_range h ~seg_off ~len "read";
-    Sci.Nic.plan_read nic ~hops ~tag:"bulk" ~src ~src_off:(Remote_segment.base h + seg_off) ~dst
-      ~dst_off ~len ()
+    Sci.Nic.plan_read t.nic ~hops:t.hops ~tag:"bulk" ~src:t.remote_dram
+      ~src_off:(Remote_segment.base h + seg_off) ~dst ~dst_off ~len ()
 
 let read_to_image t h ~seg_off ~dst ~dst_off ~len =
-  Sci.Nic.run (Cluster.nic t.cluster) (read_planner t h ~dst ~seg_off ~dst_off ~len)
+  Sci.Nic.run t.nic (read_planner t h ~dst ~seg_off ~dst_off ~len)
 
-let read t h ~seg_off ~dst_off ~len =
-  read_to_image t h ~seg_off ~dst:(Node.dram (local_node t)) ~dst_off ~len
+let read t h ~seg_off ~dst_off ~len = read_to_image t h ~seg_off ~dst:t.local_dram ~dst_off ~len
 
 let write_u64 t (h : Remote_segment.t) ~seg_off v =
   check_handle t h "write_u64";
   check_range h ~seg_off ~len:8 "write_u64";
-  Sci.Nic.write_u64 (Cluster.nic t.cluster) ~hops:(max 1 (hops t)) ~tag:"bulk"
-    ~dst:(remote_dram t) ~dst_off:(Remote_segment.base h + seg_off) v
+  Sci.Nic.write_u64 t.nic ~hops:t.hops ~tag:"bulk" ~dst:t.remote_dram
+    ~dst_off:(Remote_segment.base h + seg_off) v
 
 let read_u64 t (h : Remote_segment.t) ~seg_off =
   check_handle t h "read_u64";
   check_range h ~seg_off ~len:8 "read_u64";
-  Sci.Nic.read_u64 (Cluster.nic t.cluster) ~hops:(max 1 (hops t)) ~tag:"bulk"
-    ~src:(remote_dram t) ~src_off:(Remote_segment.base h + seg_off) ()
+  Sci.Nic.read_u64 t.nic ~hops:t.hops ~tag:"bulk" ~src:t.remote_dram
+    ~src_off:(Remote_segment.base h + seg_off) ()

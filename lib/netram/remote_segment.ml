@@ -3,6 +3,7 @@ type t = {
   owner_generation : int;
   name : string;
   seg : Mem.Segment.t;
+  mutable exported : bool;
 }
 
 let base t = Mem.Segment.base t.seg

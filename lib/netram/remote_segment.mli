@@ -11,6 +11,9 @@ type t = {
   owner_generation : int;  (** Owner's crash count when exported. *)
   name : string;  (** Directory name used by [connect_segment]. *)
   seg : Mem.Segment.t;  (** Physical placement in the owner's DRAM. *)
+  mutable exported : bool;
+      (** Set by [Server.export], cleared by [Server.release]: whether
+          the handle still maps an exported segment. *)
 }
 
 val base : t -> int

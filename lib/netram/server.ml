@@ -2,6 +2,7 @@ module Node = Cluster.Node
 
 type t = {
   node : Node.t;
+  dram : Mem.Image.t;
   generation : int;
   directory : (string, Remote_segment.t) Hashtbl.t;
   mutable paused : bool;
@@ -9,9 +10,16 @@ type t = {
 
 let create node =
   if not (Node.is_up node) then failwith "Server.create: node is down";
-  { node; generation = Node.crashes_since_start node; directory = Hashtbl.create 16; paused = false }
+  {
+    node;
+    dram = Node.dram node;
+    generation = Node.crashes_since_start node;
+    directory = Hashtbl.create 16;
+    paused = false;
+  }
 
 let node t = t.node
+let dram t = t.dram
 
 let is_alive t =
   (not t.paused) && Node.is_up t.node && Node.crashes_since_start t.node = t.generation
@@ -44,6 +52,7 @@ let export t ~name ~size =
       owner_generation = t.generation;
       name;
       seg;
+      exported = true;
     }
   in
   Hashtbl.add t.directory name handle;
@@ -57,19 +66,14 @@ let release t (h : Remote_segment.t) =
   check_alive t "release";
   check_handle t h "release";
   (match Hashtbl.find_opt t.directory h.name with
-  | Some h' when h' == h || h'.seg = h.seg -> Hashtbl.remove t.directory h.name
+  | Some h' when h' == h -> Hashtbl.remove t.directory h.name
   | _ -> failwith (Printf.sprintf "Server.release: %S is not exported" h.name));
+  h.exported <- false;
   Mem.Allocator.free (Node.allocator t.node) h.seg
 
 let lookup t ~name =
   check_alive t "lookup";
   Hashtbl.find_opt t.directory name
-
-let is_exported t (h : Remote_segment.t) =
-  is_alive t
-  && h.owner = Node.id t.node
-  && h.owner_generation = t.generation
-  && match Hashtbl.find_opt t.directory h.name with Some h' -> h'.seg = h.seg | None -> false
 
 let exports t =
   check_alive t "exports";

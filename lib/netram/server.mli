@@ -17,6 +17,11 @@ val create : Cluster.Node.t -> t
 
 val node : t -> Cluster.Node.t
 
+val dram : t -> Mem.Image.t
+(** The node memory the exports live in, taken when the server started.
+    A crash wipes that image in place, so it never changes; whether the
+    server can still be reached is {!is_alive}'s question. *)
+
 val is_alive : t -> bool
 (** False once the hosting node has crashed (even after restart: a
     restarted node needs a fresh server and has lost all exports), and
@@ -44,15 +49,12 @@ val export : t -> name:string -> size:int -> Remote_segment.t
     taken, or memory is exhausted. *)
 
 val release : t -> Remote_segment.t -> unit
-(** Free an exported segment.  Raises [Failure] on a stale handle or
+(** Free an exported segment and revoke its handle (clearing
+    [Remote_segment.exported]).  Raises [Failure] on a stale handle or
     unknown export. *)
 
 val lookup : t -> name:string -> Remote_segment.t option
 (** The [connect_segment] directory query. *)
-
-val is_exported : t -> Remote_segment.t -> bool
-(** Whether the handle still maps an exported segment (false after
-    {!release} — the mapping is revoked). *)
 
 val exports : t -> Remote_segment.t list
 val exported_bytes : t -> int

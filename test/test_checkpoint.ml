@@ -414,6 +414,31 @@ let test_helpers_cut_recovery_time () =
   check Alcotest.(list (pair string int64)) "helpers change time, not bytes" sig1 sig2;
   check_bool "a helper stream shortens recovery" true (helped < solo)
 
+(* A database whose bytes sit nearly all in one segment still spreads
+   over the streams: each read goes to the least-loaded stream, and a
+   read larger than one stream's share is cut into shares. *)
+let test_helper_splits_a_dominant_segment () =
+  let recovery ~helpers =
+    let b = bed () in
+    List.iter
+      (fun (name, size) -> P.write b.t (P.malloc b.t ~name ~size) ~off:0 (Bytes.make size 'd'))
+      [ ("big", 512 * 1024); ("small", 4096) ];
+    P.init_remote_db b.t;
+    ignore (Cluster.crash_node b.cluster 0 Cluster.Failure.Software_error);
+    let t0 = Clock.now b.clock in
+    let t2 =
+      P.recover_replicated ~helpers ~cluster:b.cluster ~local:b.spare ~servers:b.servers ()
+    in
+    (signature t2, Time.to_us (Clock.now b.clock - t0))
+  in
+  let sig1, solo = recovery ~helpers:[] in
+  let sig2, helped = recovery ~helpers:[ 1 ] in
+  check Alcotest.(list (pair string int64)) "helpers change time, not bytes" sig1 sig2;
+  check_bool
+    (Printf.sprintf "one helper: %.0f -> %.0f us (bar: >= 1.8x faster)" solo helped)
+    true
+    (solo /. helped >= 1.8)
+
 (* ------------------------------------------------------------------ *)
 (* Chunk adoption: recovery reads only what changed after the cut       *)
 
@@ -764,6 +789,7 @@ let suite =
     ("background checkpointer", `Quick, test_auto_checkpoints);
     ("churn heals across truncations", `Slow, test_churn_with_checkpoints);
     ("helper nodes shorten recovery", `Quick, test_helpers_cut_recovery_time);
+    ("a helper splits a dominant segment", `Quick, test_helper_splits_a_dominant_segment);
     ("recovery adopts every chunk unlisted since the cut", `Quick, test_adopts_all_but_one_chunk);
     ("full-resync joiner receives every entry", `Quick, test_full_resync_joiner_gets_entries);
     ("incremental joiner receives every entry", `Quick, test_incremental_joiner_gets_entries);

@@ -133,6 +133,76 @@ let test_doomed_abort_is_silent () =
   P.abort older;
   check_int "both closed" 0 (P.open_txn_count b.t)
 
+(* Conflicts are decided per 64-byte line, not per byte: two
+   declarations clash when they touch one line, even on disjoint bytes,
+   including the short last line of a segment whose size is not a
+   multiple of 64. *)
+let test_conflict_shares_a_line () =
+  let expect_conflict t ~older ~younger seg ~off ~len =
+    try
+      P.set_range younger seg ~off ~len;
+      Alcotest.fail "expected Conflict"
+    with P.Conflict { younger = y; older = o } ->
+      check_int "younger loses" (P.txn_id younger) y;
+      check_int "older wins" (P.txn_id older) o;
+      check_int "only the older stays open" 1 (P.open_txn_count t)
+  in
+  let b, seg = with_db () in
+  let older = P.begin_transaction ~client:"older" b.t in
+  P.set_range older seg ~off:256 ~len:8;
+  let younger = P.begin_transaction ~client:"younger" b.t in
+  expect_conflict b.t ~older ~younger seg ~off:312 ~len:8;
+  P.abort older;
+  let b = bed () in
+  let seg = P.malloc b.t ~name:"odd" ~size:1000 in
+  P.init_remote_db b.t;
+  let older = P.begin_transaction ~client:"older" b.t in
+  P.set_range older seg ~off:990 ~len:10;
+  let younger = P.begin_transaction ~client:"younger" b.t in
+  expect_conflict b.t ~older ~younger seg ~off:965 ~len:5;
+  P.abort older
+
+let test_neighbouring_lines_do_not_conflict () =
+  let b, seg = with_db () in
+  let older = P.begin_transaction ~client:"older" b.t in
+  P.set_range older seg ~off:256 ~len:64;
+  let younger = P.begin_transaction ~client:"younger" b.t in
+  (* The lines on either side, the first byte after the held line
+     included. *)
+  P.set_range younger seg ~off:320 ~len:4;
+  P.set_range younger seg ~off:192 ~len:64;
+  let s = P.stats b.t in
+  check_int "no conflict" 0 s.P.conflicts;
+  check_int "both open" 2 (P.open_txn_count b.t);
+  P.write b.t seg ~off:320 (Bytes.make 4 'y');
+  P.write b.t seg ~off:256 (Bytes.make 64 'o');
+  P.commit younger;
+  P.commit older;
+  check_i64 "mirror agrees" (P.checksum b.t seg) (P.mirror_checksum b.t seg)
+
+let test_declaring_a_staged_line_flushes () =
+  let b, seg = with_db ~config:(group_config ()) () in
+  let staged = P.begin_transaction ~client:"a" b.t in
+  P.set_range staged seg ~off:0 ~len:8;
+  P.write b.t seg ~off:0 (Bytes.make 8 'a');
+  P.commit staged;
+  check_int "staged" 1 (P.staged_count b.t);
+  let flushes () = (P.stats b.t).P.group_flushes in
+  let f0 = flushes () in
+  let next = P.begin_transaction ~client:"b" b.t in
+  P.set_range next seg ~off:64 ~len:8;
+  check_int "the next line leaves the queue alone" 1 (P.staged_count b.t);
+  P.set_range next seg ~off:40 ~len:8;
+  check_int "the staged line flushes the queue first" 0 (P.staged_count b.t);
+  check_int "one flush" 1 (flushes () - f0);
+  check_int "no conflict" 0 (P.stats b.t).P.conflicts;
+  P.write b.t seg ~off:40 (Bytes.make 8 'b');
+  P.commit next;
+  P.flush b.t;
+  check_str "staged bytes durable under the declarer" "aaaaaaaa"
+    (Bytes.to_string (P.read b.t seg ~off:0 ~len:8));
+  check_i64 "mirror agrees" (P.checksum b.t seg) (P.mirror_checksum b.t seg)
+
 (* ------------------------------------------------------------------ *)
 (* Group commit *)
 
@@ -424,6 +494,11 @@ let suite =
     Alcotest.test_case "younger holder is doomed, surfaces at validate" `Quick
       test_conflict_younger_holder_doomed;
     Alcotest.test_case "doomed victim may abort silently" `Quick test_doomed_abort_is_silent;
+    Alcotest.test_case "disjoint bytes of one line conflict" `Quick test_conflict_shares_a_line;
+    Alcotest.test_case "neighbouring lines do not conflict" `Quick
+      test_neighbouring_lines_do_not_conflict;
+    Alcotest.test_case "declaring a staged line flushes first" `Quick
+      test_declaring_a_staged_line_flushes;
     Alcotest.test_case "group flush equals serialized image" `Quick
       test_group_flush_matches_serial_image;
     Alcotest.test_case "commit_packets marginals sum to NIC delta" `Quick

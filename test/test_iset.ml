@@ -44,21 +44,11 @@ let test_covers_uncovered () =
   let s = of_list [ (0, 10); (10, 10) ] in
   check_bool "spanning two merged adds" true (I.covers s ~off:5 ~len:10)
 
-let test_snap () =
-  let s = of_list [ (10, 20); (100, 8) ] in
-  check ivals "snap widens to lines (and merges adjacency)" [ (0, 128) ]
-    (I.intervals (I.snap s ~align:64 ~limit:192));
-  check ivals "snap clamps to limit" [ (0, 100) ] (I.intervals (I.snap s ~align:64 ~limit:100));
-  let s = of_list [ (10, 20); (200, 8) ] in
-  check ivals "distant lines stay apart" [ (0, 64); (192, 64) ]
-    (I.intervals (I.snap s ~align:64 ~limit:4096));
-  let s = of_list [ (0, 4); (60, 4) ] in
-  check ivals "snap merges runs sharing a line" [ (0, 64) ] (I.intervals (I.snap s ~align:64 ~limit:4096))
-
 let test_glue () =
   (* Runs in disjoint 64-byte line spans keep their exact extents... *)
   let s = of_list [ (3, 10); (200, 8) ] in
   check ivals "isolated runs unchanged" [ (3, 10); (200, 8) ] (I.intervals (I.glue s ~align:64));
+  check_bool "nothing to glue returns the set itself" true (I.glue s ~align:64 == s);
   (* ... runs whose line spans touch ship their exact hull. *)
   let s = of_list [ (0, 4); (60, 4) ] in
   check ivals "same line glues to hull" [ (0, 64) ] (I.intervals (I.glue s ~align:64));
@@ -85,7 +75,6 @@ let test_invalid () =
   expect_invalid (fun () -> ignore (I.add I.empty ~off:(-1) ~len:4));
   expect_invalid (fun () -> ignore (I.add I.empty ~off:0 ~len:(-4)));
   expect_invalid (fun () -> ignore (I.uncovered I.empty ~off:(-1) ~len:4));
-  expect_invalid (fun () -> ignore (I.snap I.empty ~align:0 ~limit:64));
   expect_invalid (fun () -> ignore (I.glue I.empty ~align:(-64)))
 
 (* ------------------------------------------------------------------ *)
@@ -201,7 +190,6 @@ let suite =
     ("empty set", `Quick, test_empty);
     ("add merges overlap and adjacency", `Quick, test_add_merges);
     ("covers and uncovered", `Quick, test_covers_uncovered);
-    ("snap to packet lines", `Quick, test_snap);
     ("glue shared-line runs", `Quick, test_glue);
     ("intersects and union", `Quick, test_intersects_union);
     ("invalid arguments rejected", `Quick, test_invalid);
