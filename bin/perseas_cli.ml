@@ -558,7 +558,7 @@ let explain_cmd =
         phase_rows;
       Printf.printf "named phases attribute %.1f%% of the measured p99\n\n" (100. *. E.attribution x);
       (* Cost model: predicted vs measured per packet class. *)
-      Harness.Table.print ~title:"Analytic cost model vs NIC packet stream (settled commit units)"
+      Harness.Table.print ~title:"Analytic cost model vs NIC piece stream (settled commit units)"
         ~header:[ "class"; "pred 64B"; "meas 64B"; "pred 16B"; "meas 16B"; "pred B"; "meas B" ]
         (List.map
            (fun (cls, (p : Cm.cost), (m : Cm.cost)) ->
@@ -712,7 +712,7 @@ let postmortem_cmd =
       & flag
       & info [ "inject" ]
           ~doc:
-            "Replay an undo packet for an already-committed transaction into the monitor — a \
+            "Replay an undo piece for an already-committed transaction into the monitor — a \
              protocol violation the engine never commits, demonstrating the typed alert and the \
              offending transaction's causal timeline in the bundle.")
   in
@@ -735,7 +735,7 @@ let postmortem_cmd =
         if inject then begin
           Trace.Monitor.event (Harness.Forensics.monitor f)
             {
-              Trace.Event.name = "pkt.full64";
+              Trace.Event.name = "piece";
               cat = "sci";
               at = Sim.Clock.now bed.clock;
               args = [ ("op", "remote_undo"); ("node", "1"); ("txn", offending) ];

@@ -10,7 +10,6 @@ type config = {
   write_buffer : int;
   drain_bytes_per_s : float;
   software_overhead_commit : Time.t;
-  strict_updates : bool;
 }
 
 let default_config =
@@ -21,7 +20,6 @@ let default_config =
        effective rate is seek-bound page writes, not the media rate. *)
     drain_bytes_per_s = 0.5e6;
     software_overhead_commit = Time.us 4.;
-    strict_updates = true;
   }
 
 let log_export_name = "rwal!log"
@@ -276,7 +274,7 @@ let covered txn seg ~off ~len =
 let write t seg ~off data =
   let len = Bytes.length data in
   check_seg_range seg ~off ~len "write";
-  if t.ready && t.config.strict_updates then begin
+  if t.ready then begin
     match t.active with
     | Some txn when covered txn seg ~off ~len -> ()
     | Some _ -> failwith (Printf.sprintf "Remote_wal.write: [%d,+%d) of %S not covered by set_range" off len seg.seg_name)

@@ -24,7 +24,6 @@ type config = {
       (** Effective background disk-write rate for log traffic
           (seek-bound page writes, not raw media rate). *)
   software_overhead_commit : Time.t;
-  strict_updates : bool;
 }
 
 val default_config : config

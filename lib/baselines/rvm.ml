@@ -11,7 +11,6 @@ type config = {
   software_overhead_set_range : Time.t;
   metadata_force : bool;
   truncate_threshold : float;
-  strict_updates : bool;
 }
 
 let default_config =
@@ -22,7 +21,6 @@ let default_config =
     software_overhead_set_range = Time.us 5.;
     metadata_force = true;
     truncate_threshold = 0.5;
-    strict_updates = true;
   }
 
 let max_segments = 64
@@ -225,7 +223,7 @@ let covered txn seg ~off ~len =
 let write t seg ~off data =
   let len = Bytes.length data in
   check_seg_range seg ~off ~len "write";
-  if t.ready && t.config.strict_updates then begin
+  if t.ready then begin
     match t.active with
     | Some txn when covered txn seg ~off ~len -> ()
     | Some _ -> failwith (Printf.sprintf "Rvm.write: [%d,+%d) of %S not covered by set_range" off len seg.seg_name)

@@ -31,7 +31,6 @@ type config = {
       (** Charge a file-system metadata update (a far-away device
           write) with every force, as a log file on a real FS does. *)
   truncate_threshold : float;  (** Truncate when used/capacity exceeds this. *)
-  strict_updates : bool;
 }
 
 val default_config : config

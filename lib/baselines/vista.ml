@@ -8,7 +8,6 @@ module Imap = Map.Make (Int)
 type config = {
   undo_capacity : int;
   max_segments : int;
-  strict_updates : bool;
   redundancy_elision : bool;
   software_overhead_commit : Time.t;
 }
@@ -17,7 +16,6 @@ let default_config =
   {
     undo_capacity = (1024 * 1024) + (64 * 1024);
     max_segments = 64;
-    strict_updates = true;
     redundancy_elision = true;
     software_overhead_commit = Time.us 0.3;
   }
@@ -186,7 +184,7 @@ let covered txn seg ~off ~len = Iset.covers (txn_iset txn seg) ~off ~len
 let write t seg ~off data =
   let len = Bytes.length data in
   check_seg_range seg ~off ~len "write";
-  if t.ready && t.config.strict_updates then begin
+  if t.ready then begin
     match t.active with
     | Some txn when covered txn seg ~off ~len -> ()
     | Some _ -> failwith (Printf.sprintf "Vista.write: [%d,+%d) of %S not covered by set_range" off len seg.seg_name)

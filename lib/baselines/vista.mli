@@ -19,7 +19,6 @@ open Sim
 type config = {
   undo_capacity : int;
   max_segments : int;
-  strict_updates : bool;
   redundancy_elision : bool;
       (** First-write-only undo logging (default): re-declared
           sub-ranges are not logged again — the original before-image

@@ -14,7 +14,6 @@ module Log = (val Logs.src_log src : Logs.LOG)
 type config = {
   undo_capacity : int;
   max_segments : int;
-  strict_updates : bool;
   optimized_memcpy : bool;
   redundancy_elision : bool;
   namespace : string;
@@ -30,7 +29,6 @@ let default_config =
   {
     undo_capacity = (1024 * 1024) + (64 * 1024);
     max_segments = 64;
-    strict_updates = true;
     optimized_memcpy = true;
     redundancy_elision = true;
     namespace = Layout.default_namespace;
@@ -226,7 +224,7 @@ let charge_local_copy t len =
 
 (* Wiring one sink here also attaches it to the cluster's NIC, so a
    single call traces the whole stack: transaction phases from this
-   module, per-packet events from {!Sci.Nic}, rpc events from
+   module, piece events from {!Sci.Nic}, rpc events from
    {!Netram.Client}. *)
 let set_sink t sink =
   t.sink <- sink;
@@ -254,7 +252,7 @@ let traced t ?(cat = "txn") ?args ~name f =
   end
 
 (* Bracket [f] with causal-context tags on the cluster NIC: every
-   packet instant emitted inside [f] then carries the operation /
+   piece instant emitted inside [f] then carries the operation /
    transaction / convoy / destination-node identity, which is what
    {!Trace.Causal} stitches cross-node timelines from and what
    {!Trace.Monitor} checks protocol ordering against.  The tag list is
@@ -1426,7 +1424,7 @@ let covered txn seg ~off ~len = Iset.covers (txn_iset txn seg) ~off ~len
 let write t seg ~off data =
   let len = Bytes.length data in
   check_seg_range seg ~off ~len "write";
-  if t.ready && t.config.strict_updates then begin
+  if t.ready then begin
     (* Open write-sets are pairwise line-disjoint, so at most one
        transaction can cover the range — find it. *)
     match List.find_opt (fun txn -> covered txn seg ~off ~len) t.open_txns with

@@ -33,9 +33,6 @@ type txn
 type config = {
   undo_capacity : int;  (** Bytes reserved for the undo log (both copies). *)
   max_segments : int;
-  strict_updates : bool;
-      (** After {!init_remote_db}, reject writes outside a declared
-          [set_range] of the open transaction (catches protocol bugs). *)
   optimized_memcpy : bool;
       (** Use the §4 [sci_memcpy] 64-byte-alignment optimisation for
           remote copies (default).  Disable for the ablation bench.
@@ -323,8 +320,9 @@ val abort : txn -> unit
 (** {1 Database access}
 
     Reads and writes go to the local copy.  Writes charge the CPU copy
-    cost; with [strict_updates] they must fall inside a declared range
-    of the open transaction once the store is live. *)
+    cost; once the store is live ({!init_remote_db}) they must fall
+    inside a declared range of an open transaction, which catches
+    protocol bugs. *)
 
 val write : t -> segment -> off:int -> bytes -> unit
 val read : t -> segment -> off:int -> len:int -> bytes
@@ -664,7 +662,7 @@ val stats_to_json : stats -> string
 
 val set_sink : t -> Trace.Sink.t -> unit
 (** Attach a trace sink to this instance {e and} to the cluster's NIC
-    (so per-packet [sci] events and [netram] rpc events land in the
+    (so [sci] piece events and [netram] rpc events land in the
     same sink).  Pass {!Trace.Sink.noop} to disable. *)
 
 val sink : t -> Trace.Sink.t

@@ -185,7 +185,7 @@ let to_json entries =
   let cell e =
     let pkts =
       match e.pkts_per_txn with
-      | Some p -> Printf.sprintf ", \"pkts_per_txn\": %.2f" p
+      | Some p -> Printf.sprintf ", \"pkts_per_txn\": %.17g" p
       | None -> ""
     in
     let phases =
@@ -197,8 +197,8 @@ let to_json entries =
                (List.map (fun (name, p) -> Printf.sprintf "%S: %.4f" name p) ps))
     in
     Printf.sprintf
-      "    { \"engine\": %S, \"workload\": %S, \"mirrors\": %d, \"tps\": %.1f, \"mean_us\": \
-       %.4f, \"p99_us\": %.4f%s%s }"
+      "    { \"engine\": %S, \"workload\": %S, \"mirrors\": %d, \"tps\": %.17g, \"mean_us\": \
+       %.17g, \"p99_us\": %.17g%s%s }"
       e.engine e.workload e.mirrors e.tps e.mean_us e.p99_us pkts phases
   in
   "{\n  \"schema\": \"perseas-bench-summary/1\",\n  \"entries\": [\n"

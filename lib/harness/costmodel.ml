@@ -10,10 +10,11 @@
    This module re-derives those equations from the engine's
    configuration alone — mirror factor, [group_commit],
    [redundancy_elision], [optimized_memcpy], the NIC's 64/16-byte line
-   geometry — and checks them live against the per-transaction packet
-   stream: every commit unit's measured NIC counters are compared to
-   the prediction the moment that unit's fence packet lands, and any
-   excess beyond tolerance raises a typed {!drift} alert.
+   geometry — and checks them live against the NIC's piece stream:
+   every commit unit's measured packets (the counts its SCI pieces
+   carry) are compared to the prediction the moment that unit's fence
+   piece lands, and any excess beyond tolerance raises a typed {!drift}
+   alert.
 
    The model is deliberately independent of the engine's own dry runs
    ([commit_packets], [flush_step_count]): it never calls into
@@ -433,9 +434,9 @@ let convoy_pred t =
   { u_undo; u_data; u_segmeta; u_fence = fence_cost t }
 
 (* ------------------------------------------------------------------ *)
-(* Packet-event accounting                                             *)
+(* Piece accounting                                                    *)
 
-let class_of_packet ~op ~tag =
+let class_of_piece ~op ~tag =
   match op with
   | "remote_undo" -> Some "undo"
   | "commit_propagate" -> Some "data"
@@ -445,17 +446,10 @@ let class_of_packet ~op ~tag =
       match tag with ("undo" | "data" | "segmeta" | "fence") as c -> Some c | _ -> None)
   | _ -> None
 
-let on_packet t (e : Trace.Event.t) =
+let on_piece t (e : Trace.Event.t) =
   let args = e.Trace.Event.args in
-  let kind = e.Trace.Event.name in
-  let len = Option.value ~default:0 (Option.bind (List.assoc_opt "len" args) int_of_string_opt) in
-  let c =
-    {
-      pkts64 = (if kind = "pkt.full64" then 1 else 0);
-      pkts16 = (if kind = "pkt.part16" then 1 else 0);
-      bytes = len;
-    }
-  in
+  let num k = Option.value ~default:0 (Option.bind (List.assoc_opt k args) int_of_string_opt) in
+  let c = { pkts64 = num "full64"; pkts16 = num "part16"; bytes = num "bytes" } in
   let op = Option.value ~default:"" (List.assoc_opt "op" args) in
   let tag = Option.value ~default:"" (List.assoc_opt "tag" args) in
   let node = Option.bind (List.assoc_opt "node" args) int_of_string_opt in
@@ -471,14 +465,14 @@ let on_packet t (e : Trace.Event.t) =
   match (key, node, dir) with
   | Some key, Some node, "write" ->
       (* A fresh convoy key finalises the batch prediction: the
-         convoy's first packet proves the flush is under way, and the
+         convoy's first piece proves the flush is under way, and the
          staged set is exactly the batch it carries. *)
       if String.length key > 0 && key.[0] = 'c' && not (Hashtbl.mem t.units key) then begin
         Hashtbl.replace t.units key (convoy_pred t);
         t.staged <- [];
         maybe_quiesce t
       end;
-      (match class_of_packet ~op ~tag with
+      (match class_of_piece ~op ~tag with
       | Some cls -> class_bump t.class_meas cls c
       | None -> ());
       let sofar = Option.value ~default:cost_zero (Hashtbl.find_opt t.measured (key, node)) in
@@ -486,7 +480,7 @@ let on_packet t (e : Trace.Event.t) =
       Hashtbl.replace t.measured (key, node) total;
       let is_fence = op = "commit_fence" || (op = "flush_convoy" && tag = "fence") in
       if is_fence then begin
-        (* The fence is the unit's last packet on this node: settle. *)
+        (* The fence is the unit's last piece on this node: settle. *)
         Hashtbl.remove t.measured (key, node);
         match Hashtbl.find_opt t.units key with
         | None ->
@@ -539,7 +533,7 @@ let on_cut t (e : Trace.Event.t) =
 
 let on_event t (e : Trace.Event.t) =
   match (e.Trace.Event.cat, e.Trace.Event.name) with
-  | "sci", _ -> on_packet t e
+  | "sci", _ -> on_piece t e
   | "ckpt", "cut" -> on_cut t e
   | _ -> ()
 

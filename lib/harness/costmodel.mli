@@ -1,6 +1,6 @@
 (** The paper's analytic packets/bytes-per-operation equations, run
-    online as a trace observer and checked against the NIC's packet
-    stream.
+    online as a trace observer and checked against the packet counts
+    of the NIC's piece stream.
 
     Parameterised by the engine's {!Perseas.config} (mirror traffic is
     per-node so the mirror factor falls out of the per-node check,
@@ -10,7 +10,7 @@
     {!Sci.Params} line geometry.  The model replays the engine's
     write-set arithmetic from the coordinates the [set_range] spans
     carry, predicts every commit unit's packet cost per node, and
-    settles the account the moment that unit's fence packet lands —
+    settles the account the moment that unit's fence piece lands —
     raising a typed {!drift} alert whenever measured and predicted
     packets disagree beyond tolerance (or bytes disagree at all).
 

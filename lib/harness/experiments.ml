@@ -1079,9 +1079,9 @@ let telemetry () =
    and instants from the sink, gauges sampled on a fixed virtual-time
    grid, both exported — the CSV for plotting, the Chrome JSON (with
    counter tracks) for Perfetto. *)
-let timeline_run ?sink_capacity ~mix ~mirrors ~iters ~interval () =
+let timeline_run ~mix ~mirrors ~iters ~interval () =
   let { Testbed.clock; servers; perseas = t; _ } as bed = Testbed.make ~mirrors () in
-  let sink = Trace.Sink.memory ?capacity:sink_capacity () in
+  let sink = Trace.Sink.memory () in
   let tel = Trace.Timeseries.create () in
   let next = ref 0 in
   let reset () =
@@ -1107,17 +1107,14 @@ let timeline_run ?sink_capacity ~mix ~mirrors ~iters ~interval () =
 
 let timeline mix =
   let label = mix_label mix in
-  (* A 16 KB large-update transaction emits ~2 600 per-packet instants,
-     so the big mix gets a shorter run, a grid matched to its ~1.6 ms
-     transactions, and a ring-bounded sink (keeps the trailing window;
-     the counter tracks still cover the whole run) — otherwise the
-     Chrome JSON runs to hundreds of MB and Perfetto cannot open it. *)
-  let iters, interval, sink_capacity =
+  (* The big mix gets a shorter run and a grid matched to its ~1.6 ms
+     transactions. *)
+  let iters, interval =
     match mix with
-    | Debit_credit_mix -> (2000, Time.us 50.0, None)
-    | Large_update_mix -> (500, Time.us 200.0, Some 50_000)
+    | Debit_credit_mix -> (2000, Time.us 50.0)
+    | Large_update_mix -> (500, Time.us 200.0)
   in
-  let tel, sink = timeline_run ?sink_capacity ~mix ~mirrors:2 ~iters ~interval () in
+  let tel, sink = timeline_run ~mix ~mirrors:2 ~iters ~interval () in
   let json_path = csv_path ("timeline_" ^ label) |> Filename.remove_extension in
   let json_path = json_path ^ ".json" in
   Trace.Export.chrome_json_to_file
@@ -1136,7 +1133,7 @@ let timeline mix =
    harnesses *)
 
 let audit () =
-  (* The {!Trace.Monitor} watches every packet of the adversarial
+  (* The {!Trace.Monitor} watches every SCI piece of the adversarial
      harnesses live: undo-before-data, fence-last, per-mirror epoch
      monotonicity, convoy integrity and checkpoint-cut placement.  A
      violation dumps a flight-recorder bundle under results/postmortem
@@ -1274,7 +1271,7 @@ let attribution x =
 let explain_verdict x =
   let m = x.ex_model in
   let pred = Costmodel.predicted_total m in
-  if Costmodel.drift_count m <> 0 then Some "cost model drifted from the NIC packet stream"
+  if Costmodel.drift_count m <> 0 then Some "cost model drifted from the NIC piece stream"
   else if Costmodel.pending m <> 0 then Some "unfenced commit units at end of run"
   else if Costmodel.cost_packets (Costmodel.unattributed m) <> 0 then
     Some "unattributed packets in a steady-state window"

@@ -17,16 +17,14 @@ type t = {
   sink : Trace.Sink.t;  (* the tee handed to the engine *)
 }
 
-(* Events dominate: one per packet, vs one span per txn phase.  64k
-   events is a few thousand commits of lookback at the canned scenario
-   sizes — plenty to cover the window between fault injection and
-   oracle detection. *)
-let default_span_capacity = 4096
-let default_event_capacity = 65536
+(* A debit-credit commit emits about 20 spans (one per txn phase) and
+   10 SCI pieces, so 16k of each is several hundred commits of lookback
+   — plenty to cover the window between fault injection and oracle
+   detection. *)
+let capacity = 16384
 
-let create ?(span_capacity = default_span_capacity) ?(event_capacity = default_event_capacity)
-    ?on_alert () =
-  let ring = Trace.Sink.memory ~span_capacity ~event_capacity () in
+let create ?on_alert () =
+  let ring = Trace.Sink.memory ~capacity () in
   let monitor = Trace.Monitor.create ?on_alert () in
   { ring; monitor; sink = Trace.Sink.tee [ ring; Trace.Monitor.sink monitor ] }
 

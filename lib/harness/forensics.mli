@@ -10,15 +10,10 @@
 
 type t
 
-val create :
-  ?span_capacity:int ->
-  ?event_capacity:int ->
-  ?on_alert:(Trace.Monitor.alert -> unit) ->
-  unit ->
-  t
-(** Fresh recorder.  Defaults: 4096 spans, 65536 events — events are
-    per packet, so they get the deeper ring.  [on_alert] fires
-    synchronously on each monitor violation. *)
+val create : ?on_alert:(Trace.Monitor.alert -> unit) -> unit -> t
+(** Fresh recorder keeping the latest 16384 spans and 16384 events —
+    events are per SCI piece, about half as many as spans.  [on_alert]
+    fires synchronously on each monitor violation. *)
 
 val sink : t -> Trace.Sink.t
 (** The tee (ring + monitor); pass to {!Perseas.set_sink} or

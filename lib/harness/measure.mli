@@ -34,7 +34,7 @@ val run :
     get the per-phase breakdown of the measured window in [phases];
     warmup spans are excluded by cursor, not by clearing the sink.
     Pass [tail] to feed every measured transaction — latency, its span
-    window, its packet events — into a {!Trace.Tail} for per-phase
+    window, its SCI pieces — into a {!Trace.Tail} for per-phase
     percentiles and worst-K exemplar retention (window scoping needs
     the same memory [sink]; without one only latencies are fed). *)
 

@@ -176,7 +176,7 @@ let failover ?(shards = 2) ?(mirrors = 1) ?(victim = 0) ?(clients = 3) ?(traffic
   let bed = make_bed ~config ~dram_mb:(dram_mb_for ~config params) ~mirrors ~shards () in
   let l = load_debit_credit ~params ~clients ~seed bed in
   (* One protocol monitor per shard, wired as each engine's sink: it
-     sees the shard's packet instants plus the router's phase-switch
+     sees the shard's piece instants plus the router's phase-switch
      and cross-commit instants, so the STAR rule (cross-shard commits
      only inside single-master phases) is checked live. *)
   let monitors =

@@ -13,7 +13,7 @@ type t = {
       (* Pure observer: event emission never touches the clock or the
          packet stream, so sink on/off runs are byte-identical. *)
   mutable ctx : (string * string) list;
-      (* Causal tags appended to every packet instant while set —
+      (* Causal tags appended to every piece instant while set —
          PERSEAS wraps each plan run with the transaction / convoy /
          destination-node identity so per-node streams can be stitched
          back into cross-node timelines.  Trace metadata only: never
@@ -228,41 +228,54 @@ let count (t : t) dir ~full64 ~part16 ~streamed ~bytes =
   | Model.Write -> t.bytes_written <- t.bytes_written + bytes
   | Read -> t.bytes_read <- t.bytes_read + bytes
 
-(* Packet by packet, for observers of packet boundaries: [before] runs
-   ahead of each packet (and may raise to cut the plan there), and the
-   sink gets one instant per packet. *)
-let walk ?before ~clock (t : t) plan =
+(* One instant per applied piece, stamped when its last packet landed:
+   the packets and bytes of it that landed, its traffic class and the
+   caller's context tags. *)
+let note_piece (t : t) dir pc ~at ~full64 ~part16 ~streamed ~bytes =
+  Trace.Sink.instant t.sink ~cat:"sci" ~name:"piece" ~at
+    ~args:
+      ([
+         ("tag", pc.tag);
+         ("full64", string_of_int full64);
+         ("part16", string_of_int part16);
+         ("streamed", string_of_int streamed);
+         ("bytes", string_of_int bytes);
+         ("dir", match dir with Model.Write -> "write" | Read -> "read");
+       ]
+      @ t.ctx)
+
+(* Packet by packet, for the crash hook: [before] runs ahead of each
+   packet and may raise to cut the plan there.  What the plan, and each
+   piece, has sent so far is read off the counters, so a cut piece is
+   observed as the packets of it that landed. *)
+let walk ~before ~clock (t : t) plan =
   let p = t.params in
-  let last = plan_packets plan - 1 in
-  let sent = ref 0 and sent64 = ref 0 in
+  let last = plan_packets plan - 1 and f0 = t.packets64 and n0 = t.packets64 + t.packets16 in
   List.iter
     (fun pc ->
-      Packet.iter p ~off:pc.off ~len:pc.len (fun addr len kind ->
-          (match before with Some f -> f () | None -> ());
-          let delta = addr - pc.off in
-          Mem.Image.blit ~src:pc.src ~src_off:(pc.src_off + delta) ~dst:pc.dst
-            ~dst_off:(pc.dst_off + delta) ~len;
-          let full = match kind with Packet.Full64 -> 1 | Part16 -> 0 in
-          let streamed = full = 1 && !sent64 > 0 in
-          Clock.advance clock
-            (Model.charge p ~hops:plan.hops plan.dir ~first:(!sent = 0)
-               ~bonus:(plan.bonus && !sent = last) ~streamed kind);
-          count t plan.dir ~full64:full ~part16:(1 - full) ~streamed:(Bool.to_int streamed) ~bytes:len;
-          sent := !sent + 1;
-          sent64 := !sent64 + full;
-          if Trace.Timeseries.enabled t.tel then Trace.Gauge.add (tag_gauge t pc.tag) len;
-          if Trace.Sink.enabled t.sink then
-            Trace.Sink.instant t.sink ~cat:"sci"
-              ~name:(if full = 1 then "pkt.full64" else "pkt.part16")
-              ~at:(Clock.now clock)
-              ~args:
-                ([
-                   ("tag", pc.tag);
-                   ("len", string_of_int len);
-                   ("streamed", if streamed then "true" else "false");
-                   ("dir", match plan.dir with Write -> "write" | Read -> "read");
-                 ]
-                @ t.ctx)))
+      let p64 = t.packets64 and p16 = t.packets16 and ps = t.packets_streamed in
+      let pb = t.bytes_written + t.bytes_read in
+      let observe () =
+        let full64 = t.packets64 - p64 and part16 = t.packets16 - p16 in
+        if full64 + part16 > 0 && Trace.Sink.enabled t.sink then
+          note_piece t plan.dir pc ~at:(Clock.now clock) ~full64 ~part16
+            ~streamed:(t.packets_streamed - ps) ~bytes:(t.bytes_written + t.bytes_read - pb)
+      in
+      Fun.protect ~finally:observe (fun () ->
+          Packet.iter p ~off:pc.off ~len:pc.len (fun addr len kind ->
+              before ();
+              let delta = addr - pc.off in
+              Mem.Image.blit ~src:pc.src ~src_off:(pc.src_off + delta) ~dst:pc.dst
+                ~dst_off:(pc.dst_off + delta) ~len;
+              let sent = t.packets64 + t.packets16 - n0 in
+              let full = match kind with Packet.Full64 -> 1 | Part16 -> 0 in
+              let streamed = full = 1 && t.packets64 > f0 in
+              Clock.advance clock
+                (Model.charge p ~hops:plan.hops plan.dir ~first:(sent = 0)
+                   ~bonus:(plan.bonus && sent = last) ~streamed kind);
+              count t plan.dir ~full64:full ~part16:(1 - full) ~streamed:(Bool.to_int streamed)
+                ~bytes:len;
+              if Trace.Timeseries.enabled t.tel then Trace.Gauge.add (tag_gauge t pc.tag) len)))
     plan.pieces
 
 let rec blit_pieces (t : t) = function
@@ -272,19 +285,43 @@ let rec blit_pieces (t : t) = function
       if Trace.Timeseries.enabled t.tel then Trace.Gauge.add (tag_gauge t pc.tag) pc.len;
       blit_pieces t rest
 
+(* The bulk path's observation: each piece in closed form, stamped where
+   the walk lands its last packet — [start] plus the latency of the
+   burst's packets up to it. *)
+let note_pieces (t : t) ~start plan =
+  let p = t.params in
+  let rec go full64 part16 = function
+    | [] -> ()
+    | pc :: rest ->
+        let f, q = Packet.counts p ~off:pc.off ~len:pc.len in
+        let at =
+          start
+          + Model.burst p ~hops:plan.hops plan.dir ~full64:(full64 + f) ~part16:(part16 + q)
+              ~last:(Packet.last p ~off:pc.off ~len:pc.len)
+              ~bonus:(plan.bonus && rest = [])
+        in
+        note_piece t plan.dir pc ~at ~full64:f ~part16:q
+          ~streamed:(if full64 = 0 then Int.max 0 (f - 1) else f)
+          ~bytes:pc.len;
+        go (full64 + f) (part16 + q) rest
+  in
+  go 0 0 plan.pieces
+
 (* The bulk path's accounting: one latency charge, every packet counted. *)
 let settle (t : t) ~clock plan =
+  let start = Clock.now clock in
   Clock.advance clock plan.latency;
   count t plan.dir ~full64:plan.full64 ~part16:plan.part16 ~streamed:(Int.max 0 (plan.full64 - 1))
-    ~bytes:plan.bytes
+    ~bytes:plan.bytes;
+  if Trace.Sink.enabled t.sink then note_pieces t ~start plan
 
 let apply ?before ?(clock : Clock.t option) (t : t) plan =
   let clock = Option.value clock ~default:t.clock in
-  if Option.is_some before || Trace.Sink.enabled t.sink then walk ?before ~clock t plan
-  else begin
-    blit_pieces t plan.pieces;
-    settle t ~clock plan
-  end
+  match before with
+  | Some before -> walk ~before ~clock t plan
+  | None ->
+      blit_pieces t plan.pieces;
+      settle t ~clock plan
 
 let note_burst (t : t) plan =
   if plan_packets plan > 0 then begin
@@ -297,11 +334,11 @@ let run ?before ?clock (t : t) plan =
   note_burst t plan;
   apply ?before ?clock t plan
 
-(* Without observers the copies go back to back, ahead of the
-   accounting: consecutive copies that miss the host's caches then
-   overlap in its memory system instead of waiting on each other. *)
+(* Without a hook the copies go back to back, ahead of the accounting:
+   consecutive copies that miss the host's caches then overlap in its
+   memory system instead of waiting on each other. *)
 let run_all ?before (t : t) plans =
-  if Option.is_some before || Trace.Sink.enabled t.sink then
+  if Option.is_some before then
     List.iter (fun (clock, plan) -> run ?before ~clock t plan) plans
   else begin
     List.iter (fun (_, plan) -> blit_pieces t plan.pieces) plans;

@@ -6,11 +6,11 @@ open Sim
 
     Transfers are exposed as {e plans}: one burst made of contiguous
     copies, whose packet counts and latency are known in closed form
-    before anything moves.  Applying a plan with nothing watching is
-    one memory copy per piece and one clock advance.  Callers that must
-    observe or interrupt a copy between two packets (PERSEAS' crash
-    sweeps, a trace sink) get the same plan walked packet by packet —
-    the paper's recovery logic exists precisely because a crash can
+    before anything moves.  Applying a plan is one memory copy per piece
+    and one clock advance, whether or not a trace sink observes it.
+    Only a caller that must interrupt a copy between two packets
+    (PERSEAS' crash sweeps) gets the same plan walked packet by packet
+    — the paper's recovery logic exists precisely because a crash can
     strike after some but not all packets of a remote copy have
     landed. *)
 
@@ -32,22 +32,23 @@ val reset_counters : t -> unit
 
 val set_sink : t -> Trace.Sink.t -> unit
 (** Attach a trace sink: every plan applied while it is enabled emits
-    one instant event per packet ([pkt.full64] / [pkt.part16], category
-    [sci]) with its traffic [tag], payload [len], and whether the
-    64-byte packet was [streamed] (overlapped behind the first of its
-    burst, §4).  The
-    sink is a pure observer — it never advances the clock or changes
-    the packet stream — so runs with and without it are byte-identical
-    in counters and final virtual time.  Defaults to
-    {!Trace.Sink.noop}. *)
+    one instant per piece ([piece], category [sci]), stamped when the
+    piece's last packet landed, with its traffic [tag], its [full64] and
+    [part16] packet counts, how many of those 64-byte packets were
+    [streamed] (overlapped behind the first of the burst, §4), its
+    [bytes] and its [dir] ([write] / [read]).  A piece cut by a
+    [before] hook counts only the packets that landed.  The sink is a
+    pure observer — it never advances the clock or changes the packet
+    stream — so runs with and without it are byte-identical in
+    counters and final virtual time.  Defaults to {!Trace.Sink.noop}. *)
 
 val sink : t -> Trace.Sink.t
 
 val set_ctx : t -> (string * string) list -> unit
-(** Set the causal-context tags appended to every packet instant until
+(** Set the causal-context tags appended to every piece instant until
     the next [set_ctx] (clear with [[]]).  PERSEAS brackets each plan
     run with the operation / transaction / convoy / destination-node
-    identity so the per-packet stream carries enough to reconstruct
+    identity so the piece stream carries enough to reconstruct
     cross-node timelines ({!Trace.Causal}) and to check protocol
     ordering online ({!Trace.Monitor}).  Trace metadata only: the
     transfer machinery never reads it, so runs with and without context
@@ -147,7 +148,7 @@ val plan_read :
     [tag] (both directions, default ["data"]) names the traffic class
     the caller is moving — {!Netram.Client} uses ["bulk"] for data
     movement vs its ["rpc"] control events — and is carried on every
-    packet event the plan emits. *)
+    piece event the plan emits. *)
 
 val plan_packets : plan -> int
 (** Packets the plan puts on the wire when fully applied. *)
@@ -164,23 +165,24 @@ val apply : ?before:(unit -> unit) -> ?clock:Clock.t -> t -> plan -> unit
     The latency goes to [clock] (default: the NIC's own), so a caller
     modelling transfers that run side by side can give each stream a
     clock of its own and settle the slowest.
-    With [before] or an enabled sink, the plan is walked packet by
-    packet: [before ()] runs ahead of every packet and may raise to cut
-    the copy there, leaving exactly the earlier packets landed, charged
-    and counted; each packet's instant is stamped at the time it
-    landed.  Otherwise each piece is one copy and the clock advances
-    once by {!plan_latency}.  Both ways end with the same bytes, clock
-    and counters.  [apply] does not count a burst. *)
+    With [before], the plan is walked packet by packet: [before ()]
+    runs ahead of every packet and may raise to cut the copy there,
+    leaving exactly the earlier packets landed, charged and counted.
+    Otherwise each piece is one copy and the clock advances once by
+    {!plan_latency}.  Both ways end with the same bytes, clock and
+    counters, and emit the same piece instants (see {!set_sink}).
+    [apply] does not count a burst. *)
 
 val run : ?before:(unit -> unit) -> ?clock:Clock.t -> t -> plan -> unit
 (** [apply], counted as one burst: the [bursts] counter and the
     [nic.burst_*] gauges see {!run} calls only. *)
 
 val run_all : ?before:(unit -> unit) -> t -> (Clock.t * plan) list -> unit
-(** {!run} each plan on its clock, in order.  Without [before] or an
-    enabled sink every copy is made before any latency is charged or
-    packet counted, which ends with the same bytes, clocks and counters
-    and lets the host overlap the copies' cache misses. *)
+(** {!run} each plan on its clock, in order.  Without [before] every
+    copy is made before any latency is charged, packet counted or piece
+    observed, which ends with the same bytes, clocks, counters and
+    piece instants and lets the host overlap the copies' cache
+    misses. *)
 
 (** {1 Convenience wrappers} *)
 

@@ -76,21 +76,14 @@ module Sink = struct
 
   let noop = Noop
 
-  let positive what = function
-    | None -> None
-    | Some c when c > 0 -> Some c
-    | Some c -> invalid_arg (Printf.sprintf "Trace.Sink.memory: %s %d not positive" what c)
-
-  (* [capacity] caps both rings; [span_capacity] / [event_capacity]
-     override it per ring, so a flight recorder can keep few spans but
-     many packet events (events outnumber spans ~20:1 under load). *)
-  let memory ?capacity ?span_capacity ?event_capacity () =
-    let shared = positive "capacity" capacity in
-    let pick what specific =
-      match positive what specific with Some c -> c | None -> Option.value shared ~default:0
+  let memory ?capacity () =
+    let cap =
+      match capacity with
+      | None -> 0
+      | Some c when c > 0 -> c
+      | Some c -> invalid_arg (Printf.sprintf "Trace.Sink.memory: capacity %d not positive" c)
     in
-    Memory
-      { sp = store (pick "span_capacity" span_capacity); ev = store (pick "event_capacity" event_capacity) }
+    Memory { sp = store cap; ev = store cap }
 
   let observer ~on_span ~on_event = Observer { on_span; on_event }
 
@@ -239,9 +232,9 @@ module Monitor = struct
     if List.length ns.closed > closed_keep then
       ns.closed <- List.filteri (fun i _ -> i < closed_keep) ns.closed
 
-  (* A write packet attributed to a commit unit: enforce unit ordering,
+  (* A write piece attributed to a commit unit: enforce unit ordering,
      fence finality and epoch monotonicity on this node's stream. *)
-  let unit_packet t ns ~node ~key ~rank (ev : Event.t) =
+  let unit_piece t ns ~node ~key ~rank (ev : Event.t) =
     (match ns.open_unit with
     | Some u when u.u_key <> key ->
         raise_alert t (Convoy_interleaved { node; convoy = u.u_key; intruder = key; at = ev.at }) ev;
@@ -277,7 +270,7 @@ module Monitor = struct
       close_unit ns key
     end
 
-  let packet t (ev : Event.t) =
+  let piece t (ev : Event.t) =
     match List.assoc_opt "node" ev.args with
     | None -> () (* unattributed traffic: nothing to check against *)
     | Some node_s -> (
@@ -291,7 +284,7 @@ module Monitor = struct
                 let key =
                   Option.value ~default:("op:" ^ op) (List.assoc_opt "convoy" ev.args)
                 in
-                unit_packet t ns ~node ~key ~rank ev
+                unit_piece t ns ~node ~key ~rank ev
             | None ->
                 if op = "remote_undo" then
                   List.iter
@@ -319,7 +312,7 @@ module Monitor = struct
   let event t (ev : Event.t) =
     t.nevents <- t.nevents + 1;
     match (ev.cat, ev.name) with
-    | "sci", _ -> packet t ev
+    | "sci", _ -> piece t ev
     | "ckpt", "cut" -> ckpt_cut t ev
     | "cluster", "phase_switch" -> (
         match List.assoc_opt "phase" ev.args with
@@ -361,7 +354,7 @@ module Monitor = struct
         Printf.sprintf "undo for txn %s reached node %d after its data (t=%.3fus)" txn node
           (Time.to_us at)
     | Fence_not_last { node; convoy; at } ->
-        Printf.sprintf "packet for unit %s on node %d after its epoch fence (t=%.3fus)" convoy
+        Printf.sprintf "piece for unit %s on node %d after its epoch fence (t=%.3fus)" convoy
           node (Time.to_us at)
     | Epoch_regressed { node; prev; next; at } ->
         Printf.sprintf "fence epoch regressed on node %d: %Ld after %Ld (t=%.3fus)" node next
@@ -383,10 +376,8 @@ end
 (* Causal cross-node timeline reconstruction                            *)
 
 module Causal = struct
-  (* One step of a transaction's cross-node story.  Packet instants are
-     coalesced: a run of packets with the same (node, what, unit)
-     becomes a single hop spanning [h_start, h_stop] with [h_pkts]
-     counting the run. *)
+  (* One step of a transaction's cross-node story: a span, or one SCI
+     piece carrying its packet count. *)
   type hop = {
     h_start : Time.t;
     h_stop : Time.t;
@@ -398,15 +389,7 @@ module Causal = struct
 
   type timeline = { c_txn : string; c_hops : hop list (* oldest first *) }
 
-  let txns_of args =
-    match List.assoc_opt "txn" args with
-    | Some id -> [ id ]
-    | None -> (
-        match List.assoc_opt "batch" args with
-        | Some s -> String.split_on_char '+' s
-        | None -> [])
-
-  let node_of args = Option.bind (List.assoc_opt "node" args) int_of_string_opt
+  let arg_int k args = Option.bind (List.assoc_opt k args) int_of_string_opt
 
   let detail_of args =
     let keep = [ "mirror"; "epoch"; "convoy"; "reason"; "tag"; "mode" ] in
@@ -418,62 +401,42 @@ module Causal = struct
   let build ~spans ~events =
     let tbl : (string, hop list ref) Hashtbl.t = Hashtbl.create 16 in
     let order = ref [] in
-    let bucket txn =
-      match Hashtbl.find_opt tbl txn with
-      | Some r -> r
-      | None ->
-          let r = ref [] in
-          Hashtbl.add tbl txn r;
-          order := txn :: !order;
-          r
-    in
-    let add txn hop =
-      let r = bucket txn in
-      match !r with
-      | prev :: rest
-        when hop.h_pkts > 0 && prev.h_pkts > 0 && prev.h_node = hop.h_node
-             && prev.h_what = hop.h_what && prev.h_detail = hop.h_detail ->
-          r := { prev with h_stop = hop.h_stop; h_pkts = prev.h_pkts + hop.h_pkts } :: rest
-      | _ -> r := hop :: !r
+    let add args ~start ~stop ~what ~pkts =
+      match Monitor.txns_of args with
+      | [] -> ()
+      | txns ->
+          let hop =
+            {
+              h_start = start;
+              h_stop = stop;
+              h_node = arg_int "node" args;
+              h_what = what;
+              h_detail = detail_of args;
+              h_pkts = pkts;
+            }
+          in
+          List.iter
+            (fun txn ->
+              match Hashtbl.find_opt tbl txn with
+              | Some r -> r := hop :: !r
+              | None ->
+                  Hashtbl.add tbl txn (ref [ hop ]);
+                  order := txn :: !order)
+            txns
     in
     List.iter
-      (fun (s : Span.t) ->
-        match txns_of s.args with
-        | [] -> ()
-        | txns ->
-            let hop =
-              {
-                h_start = s.start;
-                h_stop = s.stop;
-                h_node = node_of s.args;
-                h_what = s.cat ^ "/" ^ s.name;
-                h_detail = detail_of s.args;
-                h_pkts = 0;
-              }
-            in
-            List.iter (fun txn -> add txn hop) txns)
+      (fun (s : Span.t) -> add s.args ~start:s.start ~stop:s.stop ~what:(s.cat ^ "/" ^ s.name) ~pkts:0)
       spans;
     List.iter
       (fun (e : Event.t) ->
-        match txns_of e.args with
-        | [] -> ()
-        | txns ->
-            let what =
-              match List.assoc_opt "op" e.args with
-              | Some op -> "pkt/" ^ op
-              | None -> e.cat ^ "/" ^ e.name
-            in
-            let hop =
-              {
-                h_start = e.at;
-                h_stop = e.at;
-                h_node = node_of e.args;
-                h_what = what;
-                h_detail = detail_of e.args;
-                h_pkts = (if e.cat = "sci" then 1 else 0);
-              }
-            in
-            List.iter (fun txn -> add txn hop) txns)
+        let what =
+          match List.assoc_opt "op" e.args with
+          | Some op -> "pkt/" ^ op
+          | None -> e.cat ^ "/" ^ e.name
+        in
+        (* Only SCI pieces carry packet counts. *)
+        let pkts k = Option.value ~default:0 (arg_int k e.args) in
+        add e.args ~start:e.at ~stop:e.at ~what ~pkts:(pkts "full64" + pkts "part16"))
       events;
     List.rev_map
       (fun txn ->

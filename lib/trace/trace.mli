@@ -25,8 +25,10 @@ open Sim
     - [recovery]: [probe], [repair], [fetch_db], [resync_mirrors].
     - [mirror]: [resync] — one span per {!Perseas.attach_mirror} /
       [recruit_mirror], arg [mode].
-    - [sci]: instant events [pkt.full64] / [pkt.part16], one per SCI
-      packet, args [tag] (rpc vs bulk), [len], [streamed].
+    - [sci]: instant events [piece], one per applied SCI piece (one
+      contiguous copy of a transfer plan), stamped when its last packet
+      landed, args [tag] (rpc vs bulk), [full64], [part16], [streamed]
+      (packet counts), [bytes] and [dir].
     - [supervisor]: instant events [mirror_lost], [recruited],
       [attempt_failed], [gave_up]. *)
 
@@ -60,18 +62,16 @@ module Sink : sig
       sites skip even the clock reads.  This is the default wired into
       every component. *)
 
-  val memory : ?capacity:int -> ?span_capacity:int -> ?event_capacity:int -> unit -> t
-  (** Records spans and events in order.  Without any capacity the sink
+  val memory : ?capacity:int -> unit -> t
+  (** Records spans and events in order.  Without a capacity the sink
       is unbounded (the default, and what the tests rely on); with
       [capacity] it keeps the most recent [capacity] spans and the most
-      recent [capacity] events in a ring, silently dropping the oldest
-      — {!dropped_spans} / {!dropped_events} count the casualties {e
-      separately per ring}, and {!span_count} / {!event_count} keep
-      counting everything ever recorded so cursors survive the wrap.
-      [span_capacity] / [event_capacity] override [capacity] per ring —
-      packet events outnumber spans by an order of magnitude, so a
-      flight recorder sizes the two independently.  Raises
-      [Invalid_argument] on a non-positive capacity. *)
+      recent [capacity] events in two rings, silently dropping the
+      oldest — {!dropped_spans} / {!dropped_events} count the
+      casualties {e separately per ring}, and {!span_count} /
+      {!event_count} keep counting everything ever recorded so cursors
+      survive the wrap.  Raises [Invalid_argument] on a non-positive
+      capacity. *)
 
   val observer : on_span:(Span.t -> unit) -> on_event:(Event.t -> unit) -> t
   (** A sink that forwards everything to callbacks and stores nothing —
@@ -121,16 +121,16 @@ module Monitor : sig
       the ordering invariants PERSEAS's recoverability rests on.  Feed
       it by wiring {!sink} into a {!Sink.tee} next to the recording
       ring — it reads the same instants the ring records, keeps a tiny
-      per-node state machine, and raises a typed {!alert} the moment a
-      packet contradicts the protocol.
+      per-node state machine, and raises a typed {!alert} the moment an
+      SCI piece contradicts the protocol.
 
       The checked invariants, per destination node:
 
       - {b undo before data}: a transaction's undo records must reach a
         mirror before any of its commit data does ({!Undo_after_data});
-      - {b fence strictly last}: no packet of a commit unit (an eager
+      - {b fence strictly last}: no piece of a commit unit (an eager
         commit's propagate/segmeta/fence burst, or a group-commit
-        convoy) may follow that unit's epoch-fence packet
+        convoy) may follow that unit's epoch-fence piece
         ({!Fence_not_last});
       - {b epoch monotonicity}: successive fence epochs on one node
         strictly increase ({!Epoch_regressed});
@@ -148,8 +148,8 @@ module Monitor : sig
         cross-shard commit alerts.
 
       The monitor relies on the causal tags ([op], [node], [convoy],
-      [txn]/[txns], [epoch], [tag]) that {!Perseas} threads through the
-      NIC's packet instants; untagged traffic is ignored.  Like every
+      [txn]/[batch], [epoch], [tag]) that {!Perseas} threads through the
+      NIC's piece instants; untagged traffic is ignored.  Like every
       trace-layer component it never advances the clock or touches the
       packet stream. *)
 
@@ -200,9 +200,9 @@ module Causal : sig
       per-transaction story: primary-side phases, then each mirror's
       undo/data/fence arrivals, then checkpoint traffic — ordered by
       virtual time.  Transactions are identified by the [txn] arg (or
-      membership in a convoy's [+]-separated [txns] arg); packets
-      coalesce into one hop per (node, operation) run so a 64-packet
-      data burst reads as one line. *)
+      membership in a convoy's [+]-separated [batch] arg), read as
+      {!Monitor} reads them; each SCI piece is one hop carrying its
+      packet count, so a 64-packet data run reads as one line. *)
 
   type hop = {
     h_start : Time.t;
@@ -210,7 +210,7 @@ module Causal : sig
     h_node : int option;  (** [None]: on the primary itself. *)
     h_what : string;  (** ["txn/commit"], ["pkt/flush_convoy"], ... *)
     h_detail : string;  (** Selected args, rendered [k=v]. *)
-    h_pkts : int;  (** Packets coalesced into this hop; 0 for spans. *)
+    h_pkts : int;  (** The piece's packets; 0 for spans. *)
   }
 
   type timeline = { c_txn : string; c_hops : hop list (* oldest first *) }

@@ -85,7 +85,11 @@ let test_zero_drift () =
       let pred = Cm.predicted_total model in
       check_int (label ^ ": 64B packets exact") c.Sci.Nic.packets64 pred.Cm.pkts64;
       check_int (label ^ ": 16B packets exact") c.Sci.Nic.packets16 pred.Cm.pkts16;
-      check_int (label ^ ": bytes exact") c.Sci.Nic.bytes_written pred.Cm.bytes)
+      check_int (label ^ ": bytes exact") c.Sci.Nic.bytes_written pred.Cm.bytes;
+      (* What the model measured is the packet counts of the pieces it
+         folded: they too add up to the NIC's. *)
+      let measured = List.fold_left (fun acc (_, _, m) -> acc + Cm.cost_packets m) 0 (Cm.classes model) in
+      check_int (label ^ ": pieces carry every packet") (c.Sci.Nic.packets64 + c.Sci.Nic.packets16) measured)
     cells
 
 (* ------------------------------------------------------------------ *)
@@ -124,23 +128,27 @@ let test_flipped_memcpy_drifts () =
 (* Seeded mutation 2: forged packets the engine never sent             *)
 
 (* Replay a hand-forged convoy straight into the model: one 64-byte
-   data packet plus a fence for a convoy no transaction ever staged.
+   data piece plus a fence for a convoy no transaction ever staged.
    The model's prediction for that unit is fence-only, so the forged
-   data packet is a byte-level mismatch — a typed alert, not a crash
+   data piece is a byte-level mismatch — a typed alert, not a crash
    and not silence. *)
 let test_forged_packet_drifts () =
   let model = Cm.create ~config:P.default_config ~params:Sci.Params.default () in
-  let pkt name args = { Trace.Event.name; cat = "sci"; at = Time.us 1.; args } in
-  Cm.event model
-    (pkt "pkt.full64"
-       [ ("op", "flush_convoy"); ("tag", "data"); ("convoy", "c999"); ("node", "0");
-         ("dir", "write"); ("len", "64") ]);
+  let piece ~tag ~full64 ~part16 ~bytes =
+    {
+      Trace.Event.name = "piece";
+      cat = "sci";
+      at = Time.us 1.;
+      args =
+        [ ("tag", tag); ("full64", string_of_int full64); ("part16", string_of_int part16);
+          ("bytes", string_of_int bytes); ("dir", "write"); ("op", "flush_convoy");
+          ("convoy", "c999"); ("node", "0") ];
+    }
+  in
+  Cm.event model (piece ~tag:"data" ~full64:1 ~part16:0 ~bytes:64);
   check_int "no alert before the fence" 0 (Cm.drift_count model);
   check_int "forged unit is pending" 1 (Cm.pending model);
-  Cm.event model
-    (pkt "pkt.part16"
-       [ ("op", "flush_convoy"); ("tag", "fence"); ("convoy", "c999"); ("node", "0");
-         ("dir", "write"); ("len", "8") ]);
+  Cm.event model (piece ~tag:"fence" ~full64:0 ~part16:1 ~bytes:8);
   check_int "fence settles the forged unit" 1 (Cm.units_checked model);
   check_int "forged packet caught as drift" 1 (Cm.drift_count model);
   (match Cm.alerts model with

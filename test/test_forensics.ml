@@ -65,6 +65,7 @@ let full_story ?forensics () =
   let config = { P.default_config with group_commit = 2 } in
   let b, seg = with_db ~config () in
   Option.iter (fun f -> F.attach f b.t) forensics;
+  let attached = Sci.Nic.counters (Cluster.nic b.cluster) in
   P.Checkpoint.set_ram_target b.t ~server:b.ckpt;
   for i = 0 to 5 do
     commit_fill b seg ~off:(256 * i) (Char.chr (Char.code 'a' + i))
@@ -87,22 +88,32 @@ let full_story ?forensics () =
   commit_fill b seg ~off:4352 'y';
   P.flush b.t;
   ignore (P.Checkpoint.finalize b.t);
-  (Clock.now b.clock, Sci.Nic.counters (Cluster.nic b.cluster), P.stats b.t)
+  (Clock.now b.clock, Sci.Nic.counters (Cluster.nic b.cluster), P.stats b.t, attached)
+
+(* Packets and bytes the SCI pieces among [events] carry. *)
+let piece_totals events =
+  List.fold_left
+    (fun (pkts, bytes) (e : Trace.Event.t) ->
+      if e.cat <> "sci" then (pkts, bytes)
+      else
+        let n k = int_of_string (List.assoc k e.args) in
+        (pkts + n "full64" + n "part16", bytes + n "bytes"))
+    (0, 0) events
 
 (* ------------------------------------------------------------------ *)
 
 let test_ring_capacities () =
-  let s = Trace.Sink.memory ~span_capacity:2 ~event_capacity:4 () in
+  let s = Trace.Sink.memory ~capacity:2 () in
   for i = 0 to 4 do
     Trace.Sink.span s ~cat:"txn" ~name:(string_of_int i) ~start:i ~stop:(i + 1)
   done;
   for i = 0 to 9 do
-    Trace.Sink.instant s ~cat:"sci" ~name:"pkt.full64" ~at:i
+    Trace.Sink.instant s ~cat:"sci" ~name:"piece" ~at:i
   done;
   check_int "span ring bounded" 2 (List.length (Trace.Sink.spans s));
-  check_int "event ring bounded" 4 (List.length (Trace.Sink.events s));
+  check_int "event ring bounded" 2 (List.length (Trace.Sink.events s));
   check_int "span drops counted separately" 3 (Trace.Sink.dropped_spans s);
-  check_int "event drops counted separately" 6 (Trace.Sink.dropped_events s);
+  check_int "event drops counted separately" 8 (Trace.Sink.dropped_events s);
   (* Newest survive, oldest drop. *)
   (match Trace.Sink.spans s with
   | [ a; b ] ->
@@ -113,20 +124,28 @@ let test_ring_capacities () =
   check_int "tee reads through to the ring" 2 (List.length (Trace.Sink.spans tee))
 
 let test_byte_identity () =
-  let clock_off, nic_off, stats_off = full_story () in
+  let clock_off, nic_off, stats_off, _ = full_story () in
   let f = F.create () in
-  let clock_on, nic_on, stats_on = full_story ~forensics:f () in
+  let clock_on, nic_on, stats_on, (at : Sci.Nic.counters) = full_story ~forensics:f () in
   check_int "final clock identical" clock_off clock_on;
   check_bool "NIC counters identical" true (nic_off = nic_on);
   check_bool "engine stats identical" true (stats_off = stats_on);
-  check_bool "and the recorder actually saw traffic" true
-    (Trace.Sink.event_count (F.sink f) > 100)
+  (* The recorder saw every packet and byte the NIC moved after it was
+     attached, as pieces. *)
+  let pkts, bytes = piece_totals (Trace.Sink.events (F.sink f)) in
+  check_int "pieces carry every packet"
+    (nic_on.packets64 + nic_on.packets16 - at.packets64 - at.packets16)
+    pkts;
+  check_int "pieces carry every byte"
+    (nic_on.bytes_written + nic_on.bytes_read - at.bytes_written - at.bytes_read)
+    bytes
 
 let test_zero_alerts_full_story () =
   let f = F.create () in
   ignore (full_story ~forensics:f ());
   check_int "monitor silent on a legal run" 0 (F.alert_count f);
-  check_bool "monitor consumed the stream" true (M.events_seen (F.monitor f) > 100)
+  check_int "monitor consumed the recorded stream" (Trace.Sink.event_count (F.sink f))
+    (M.events_seen (F.monitor f))
 
 let test_zero_alerts_crash_sweep () =
   (* Primary-victim sweep with the recorder attached at every point:
@@ -159,7 +178,7 @@ let test_zero_alerts_churn () =
 (* Seeded violations: replay deliberately corrupted streams through
    the monitor's test hook and demand the right typed alert. *)
 
-let ev ?(name = "pkt.full64") ?(at = 10) args = { Trace.Event.name; cat = "sci"; at; args }
+let ev ?(at = 10) args = { Trace.Event.name = "piece"; cat = "sci"; at; args }
 
 let convoy_pkt ?(node = 1) ?(at = 10) ~convoy ~tag ?epoch ~batch () =
   ev ~at
@@ -269,7 +288,7 @@ let test_causal_timeline () =
       let what w (h : Trace.Causal.hop) = h.Trace.Causal.h_what = w in
       let hops = c.Trace.Causal.c_hops in
       (* The cross-node story: undo then data then fence, on BOTH
-         mirror nodes, with packet runs coalesced into single hops. *)
+         mirror nodes. *)
       List.iter
         (fun node ->
           List.iter
@@ -280,7 +299,17 @@ let test_causal_timeline () =
                 (List.exists (fun h -> on_node node h && what w h) hops))
             [ "pkt/remote_undo"; "pkt/commit_propagate"; "pkt/commit_fence" ])
         [ 1; 2 ];
-      check_bool "packet runs coalesced" true
+      (* Each SCI piece of txn 1 is one hop carrying its packets. *)
+      let pieces =
+        List.filter
+          (fun (e : Trace.Event.t) -> e.cat = "sci" && List.assoc_opt "txn" e.args = Some "1")
+          (Trace.Sink.events (F.sink f))
+      in
+      let piece_hops = List.filter (fun (h : Trace.Causal.hop) -> h.Trace.Causal.h_pkts > 0) hops in
+      check_int "one hop per piece" (List.length pieces) (List.length piece_hops);
+      check_int "hops carry the pieces' packets" (fst (piece_totals pieces))
+        (List.fold_left (fun acc (h : Trace.Causal.hop) -> acc + h.Trace.Causal.h_pkts) 0 piece_hops);
+      check_bool "a multi-packet piece is one hop" true
         (List.exists (fun (h : Trace.Causal.hop) -> h.Trace.Causal.h_pkts > 1) hops);
       (* Primary-side spans join the same story. *)
       check_bool "primary-side commit span present" true

@@ -102,13 +102,6 @@ let test_strict_updates_enforced () =
    with Failure _ -> ());
   P.abort txn
 
-let test_relaxed_updates () =
-  let config = { P.default_config with strict_updates = false } in
-  let b, seg = with_db ~config () in
-  (* Without strict mode the library trusts the application. *)
-  P.write b.t seg ~off:0 (Bytes.make 4 'x');
-  check Alcotest.string "wrote" "xxxx" (Bytes.to_string (P.read b.t seg ~off:0 ~len:4))
-
 let test_commit_updates_mirror () =
   let b, seg = with_db () in
   let txn = P.begin_transaction b.t in
@@ -626,7 +619,6 @@ let suite =
     ("malloc naming and lifecycle rules", `Quick, test_malloc_rules);
     ("transaction state rules", `Quick, test_transaction_rules);
     ("strict update enforcement", `Quick, test_strict_updates_enforced);
-    ("relaxed update mode", `Quick, test_relaxed_updates);
     ("commit updates the mirror", `Quick, test_commit_updates_mirror);
     ("abort restores locally without remote traffic", `Quick, test_abort_restores_locally);
     ("multi-range abort", `Quick, test_multiple_ranges_and_overlap_abort);

@@ -317,10 +317,10 @@ let prop_write_covers_range =
       (off = 0 || Mem.Image.read_u8 dst (off - 1) = 0)
       && (off + len >= 4096 || Mem.Image.read_u8 dst (off + len) = 0))
 
-(* The bulk path (nothing watching) and the packet walk (a hook, a
-   sink) must be indistinguishable: same bytes, clock and counters, one
-   hook call and one instant per packet, and a clock delta equal to the
-   closed-form latency, which is the per-packet model's sum. *)
+(* The bulk path (with or without a sink) and the packet walk (a hook)
+   must be indistinguishable: same bytes, clock and counters, one hook
+   call per packet, the same piece instants, and a clock delta equal to
+   the closed-form latency, which is the per-packet model's sum. *)
 type shape =
   | Write of { window : bool; src_off : int; dst_off : int; len : int }
   | Read of { src_off : int; dst_off : int; len : int }
@@ -370,8 +370,9 @@ let plan_of nic ~hops ~src ~dst = function
              })
            cs)
 
-(* The remote ranges the shape's packets are cut from: sci_memcpy
-   widening of section 4, restated independently of the NIC. *)
+(* The remote ranges the shape's packets are cut from, with their
+   traffic tags: sci_memcpy widening of section 4, restated
+   independently of the NIC. *)
 let cut_ranges shape =
   let widen ~window ~src_off ~dst_off ~len =
     match window with
@@ -384,28 +385,36 @@ let cut_ranges shape =
   match shape with
   | Write w ->
       let window = if w.window then Some (Mem.Segment.v ~base:0 ~len:4096) else None in
-      [ widen ~window ~src_off:w.src_off ~dst_off:w.dst_off ~len:w.len ]
-  | Read r -> [ (r.src_off, r.len) ]
+      [ ("w", widen ~window ~src_off:w.src_off ~dst_off:w.dst_off ~len:w.len) ]
+  | Read r -> [ ("r", (r.src_off, r.len)) ]
   | Convoy cs ->
       List.mapi
         (fun i (window, off, len) ->
           let off = Mem.Segment.base (slot i) + off in
-          widen ~window:(if window then Some (slot i) else None) ~src_off:off ~dst_off:off ~len)
+          ( (if i mod 2 = 0 then "even" else "odd"),
+            widen ~window:(if window then Some (slot i) else None) ~src_off:off ~dst_off:off ~len ))
         cs
+
+let start = Time.us 1.0
 
 (* The per-packet cost model, restated: the first packet pays the burst
    overhead, the first Full64 the pipeline fill, later Full64s stream,
    the last packet of a write ending on a buffer's last word earns the
    bonus, and no packet charges below zero.  Each packet comes with its
-   charge and whether it streamed. *)
+   piece (index and tag), its charge and whether it streamed. *)
 let per_packet (p : Sci.Params.t) ~hops shape =
   let read = match shape with Read _ -> true | Write _ | Convoy _ -> false in
-  let ranges = List.filter (fun (_, len) -> len > 0) (cut_ranges shape) in
+  let ranges = List.filter (fun (_, (_, len)) -> len > 0) (cut_ranges shape) in
   let bonus =
     (not read)
-    && match List.rev ranges with (off, len) :: _ -> Sci.Packet.ends_on_last_word p ~off ~len | [] -> false
+    && match List.rev ranges with (_, (off, len)) :: _ -> Sci.Packet.ends_on_last_word p ~off ~len | [] -> false
   in
-  let pkts = List.concat_map (fun (off, len) -> Sci.Packet.of_range p ~off ~len) ranges in
+  let pkts =
+    List.concat
+      (List.mapi
+         (fun i (tag, (off, len)) -> List.map (fun pkt -> ((i, tag), pkt)) (Sci.Packet.of_range p ~off ~len))
+         ranges)
+  in
   let n = List.length pkts in
   let cost i streamed (pkt : Sci.Packet.t) =
     let own =
@@ -421,15 +430,38 @@ let per_packet (p : Sci.Params.t) ~hops shape =
   in
   let rec walk i seen64 = function
     | [] -> []
-    | (pkt : Sci.Packet.t) :: rest ->
+    | (piece, (pkt : Sci.Packet.t)) :: rest ->
         let streamed = seen64 && pkt.kind = Full64 in
-        (pkt, cost i streamed pkt, streamed) :: walk (i + 1) (seen64 || pkt.kind = Full64) rest
+        (piece, pkt, cost i streamed pkt, streamed) :: walk (i + 1) (seen64 || pkt.kind = Full64) rest
   in
   walk 0 false pkts
 
-type outcome = { image : string; now : Time.t; counters : Sci.Nic.counters; gauges : string }
+(* The piece instants those packets make: one per run of packets of one
+   piece, stamped when its last packet lands. *)
+let piece_events ~dir pkts =
+  let rec go at = function
+    | [] -> []
+    | (piece, _, _, _) :: _ as l ->
+        let mine = List.filter (fun (pc, _, _, _) -> pc = piece) l in
+        let rest = List.filter (fun (pc, _, _, _) -> pc <> piece) l in
+        let at = List.fold_left (fun at (_, _, cost, _) -> at + cost) at mine in
+        let n f = string_of_int (List.fold_left (fun acc x -> acc + f x) 0 mine) in
+        let args =
+          [
+            ("tag", snd piece);
+            ("full64", n (fun (_, (pkt : Sci.Packet.t), _, _) -> Bool.to_int (pkt.kind = Full64)));
+            ("part16", n (fun (_, (pkt : Sci.Packet.t), _, _) -> Bool.to_int (pkt.kind = Part16)));
+            ("streamed", n (fun (_, _, _, streamed) -> Bool.to_int streamed));
+            ("bytes", n (fun (_, (pkt : Sci.Packet.t), _, _) -> pkt.len));
+            ("dir", dir);
+            ("op", "prop");
+          ]
+        in
+        { Trace.Event.name = "piece"; cat = "sci"; at; args } :: go at rest
+  in
+  go start pkts
 
-let start = Time.us 1.0
+type outcome = { image : string; now : Time.t; counters : Sci.Nic.counters; gauges : string }
 
 let apply_shape ~params ~hops ~observe shape =
   let clock = Clock.create ~at:start () in
@@ -442,13 +474,15 @@ let apply_shape ~params ~hops ~observe shape =
   done;
   let plan = plan_of nic ~hops ~src ~dst shape in
   let hooks = ref 0 and sink = Trace.Sink.memory () in
+  if observe <> `Bulk then begin
+    Sci.Nic.set_sink nic sink;
+    Sci.Nic.set_ctx nic [ ("op", "prop") ]
+  end;
   (match observe with
-  | `Bulk -> Sci.Nic.apply nic plan
-  | `Hook -> Sci.Nic.apply nic plan ~before:(fun () -> incr hooks)
-  | `Sink ->
-      Sci.Nic.set_sink nic sink;
-      Sci.Nic.set_ctx nic [ ("op", "prop") ];
-      Sci.Nic.apply nic plan);
+  | `Bulk | `Sink -> Sci.Nic.apply nic plan
+  | `Hook cut -> (
+      try Sci.Nic.apply nic plan ~before:(fun () -> if !hooks = cut then raise Cut else incr hooks)
+      with Cut -> ()));
   (* A sample mirrors the streamed-packet counter and the per-tag byte
      gauges into the timeseries. *)
   Trace.Timeseries.sample tel ~at:(Clock.now clock);
@@ -465,36 +499,31 @@ let apply_shape ~params ~hops ~observe shape =
 let prop_walk_equals_bulk =
   QCheck.Test.make ~name:"nic: walked and bulk application agree" ~count:500
     (QCheck.make
-       ~print:(fun ((y, big), h, s) -> Printf.sprintf "years %d big bonus %b hops %d %s" y big h (print_shape s))
-       QCheck.Gen.(triple (pair (int_bound 10) bool) (int_range 1 3) gen_shape))
-    (fun ((years, big_bonus), hops, shape) ->
+       ~print:(fun ((y, big), (h, cut), s) ->
+         Printf.sprintf "years %d big bonus %b hops %d cut %d %s" y big h cut (print_shape s))
+       QCheck.Gen.(triple (pair (int_bound 10) bool) (pair (int_range 1 3) (int_bound 10_000)) gen_shape))
+    (fun ((years, big_bonus), (hops, cut), shape) ->
       (* A bonus as large as a first packet makes the zero clamp bite. *)
       let params = Sci.Params.projected ~years () in
       let params = if big_bonus then { params with t_lastword_bonus = params.t_pkt64_first } else params in
       let plan, bulk, _, _ = apply_shape ~params ~hops ~observe:`Bulk shape in
-      let _, hooked, hooks, _ = apply_shape ~params ~hops ~observe:`Hook shape in
+      let _, hooked, hooks, walked = apply_shape ~params ~hops ~observe:(`Hook max_int) shape in
       let _, sunk, _, events = apply_shape ~params ~hops ~observe:`Sink shape in
-      let expected = per_packet params ~hops shape in
-      let _, instants =
-        List.fold_left_map
-          (fun at ((pkt : Sci.Packet.t), cost, streamed) ->
-            let at = at + cost in
-            ( at,
-              ( (match pkt.kind with Full64 -> "pkt.full64" | Part16 -> "pkt.part16"),
-                at,
-                string_of_int pkt.len,
-                string_of_bool streamed,
-                "prop" ) ))
-          start expected
-      in
-      let arg (e : Trace.Event.t) k = List.assoc k e.args in
       let packets = Sci.Nic.plan_packets plan in
+      (* Cut before packet [cut]: possibly inside a piece. *)
+      let cut = cut mod Int.max 1 packets in
+      let _, _, _, partial = apply_shape ~params ~hops ~observe:(`Hook cut) shape in
+      let expected = per_packet params ~hops shape in
+      let dir = match shape with Read _ -> "read" | Write _ | Convoy _ -> "write" in
+      let count k = List.fold_left (fun acc (e : Trace.Event.t) -> acc + int_of_string (List.assoc k e.args)) 0 in
       bulk = hooked && bulk = sunk && hooks = packets
       && List.length expected = packets
-      && List.map (fun (e : Trace.Event.t) -> (e.name, e.at, arg e "len", arg e "streamed", arg e "op")) events
-         = instants
+      && events = walked
+      && events = piece_events ~dir expected
+      && count "full64" events + count "part16" events = packets
+      && partial = piece_events ~dir (List.filteri (fun i _ -> i < cut) expected)
       && bulk.now - start = Sci.Nic.plan_latency plan
-      && Sci.Nic.plan_latency plan = List.fold_left (fun acc (_, cost, _) -> acc + cost) 0 expected)
+      && Sci.Nic.plan_latency plan = List.fold_left (fun acc (_, _, cost, _) -> acc + cost) 0 expected)
 
 let suite =
   [

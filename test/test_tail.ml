@@ -104,12 +104,12 @@ let test_flow_export () =
   let events =
     [
       {
-        Trace.Event.name = "pkt.full64";
+        Trace.Event.name = "piece";
         cat = "sci";
         at = Time.us 3.;
         args =
-          [ ("op", "commit_propagate"); ("txn", "7"); ("node", "1"); ("len", "64");
-            ("dir", "write") ];
+          [ ("op", "commit_propagate"); ("txn", "7"); ("node", "1"); ("full64", "1");
+            ("part16", "0"); ("bytes", "64"); ("dir", "write") ];
       };
     ]
   in

@@ -319,6 +319,11 @@ let test_bench_gate () =
   (* Round-trip through the writer and the parser. *)
   let parsed = B.of_json (J.parse_exn (B.to_json current)) in
   check_bool "json round-trip" true (parsed = current);
+  (* Measured values round-trip exactly, so an unchanged tree compares
+     against its own baseline at +0.0%, not at a rounding error. *)
+  let measured = [ { (e ~pkts:7.8173 ~p99:45.92 46911.73) with B.mean_us = 21.316379310344827 } ] in
+  check_bool "measured values round-trip exactly" true
+    (B.of_json (J.parse_exn (B.to_json measured)) = measured);
   (* Identical baseline: clean pass. *)
   let _, failed = B.compare_to_baseline ~baseline:current current in
   check_bool "identical baseline passes" false failed;

@@ -71,7 +71,7 @@ let test_sink_basics () =
   check_bool "memory enabled" true (Trace.Sink.enabled s);
   Trace.Sink.span s ~cat:"txn" ~name:"a" ~start:0 ~stop:5;
   Trace.Sink.span s ~cat:"txn" ~name:"b" ~start:5 ~stop:7 ~args:[ ("mirror", "0") ];
-  Trace.Sink.instant s ~cat:"sci" ~name:"pkt.full64" ~at:6;
+  Trace.Sink.instant s ~cat:"sci" ~name:"piece" ~at:6;
   check_int "two spans" 2 (Trace.Sink.span_count s);
   check_int "one event" 1 (Trace.Sink.event_count s);
   (match Trace.Sink.spans s with
@@ -146,7 +146,11 @@ let test_abort_span () =
 (* ------------------------------------------------------------------ *)
 (* NIC and RPC events *)
 
-let test_nic_packet_events () =
+let pieces sink = List.filter (fun (e : Trace.Event.t) -> e.name = "piece") (Trace.Sink.events sink)
+
+let sum_arg k = List.fold_left (fun acc (e : Trace.Event.t) -> acc + int_of_string (List.assoc k e.args)) 0
+
+let test_nic_piece_events () =
   let b, seg = with_db ~k:1 () in
   let nic = Cluster.nic b.cluster in
   let sink = Trace.Sink.memory () in
@@ -154,15 +158,35 @@ let test_nic_packet_events () =
   let before = Sci.Nic.counters nic in
   run_workload b seg 10;
   let after = Sci.Nic.counters nic in
-  let events = Trace.Sink.events sink in
-  let count name = List.length (List.filter (fun (e : Trace.Event.t) -> e.name = name) events) in
-  check_int "one instant per 64B packet" (after.packets64 - before.packets64) (count "pkt.full64");
-  check_int "one instant per 16B packet" (after.packets16 - before.packets16) (count "pkt.part16");
-  check_bool "packets tagged bulk" true
-    (List.exists
-       (fun (e : Trace.Event.t) ->
-         e.cat = "sci" && List.assoc_opt "tag" e.args = Some "bulk")
-       events)
+  let events = pieces sink in
+  check_int "pieces carry every 64B packet" (after.packets64 - before.packets64) (sum_arg "full64" events);
+  check_int "pieces carry every 16B packet" (after.packets16 - before.packets16) (sum_arg "part16" events);
+  check_int "pieces carry every byte"
+    (after.bytes_written + after.bytes_read - before.bytes_written - before.bytes_read)
+    (sum_arg "bytes" events);
+  check_bool "pieces tagged bulk" true
+    (List.exists (fun (e : Trace.Event.t) -> List.assoc_opt "tag" e.args = Some "bulk") events)
+
+(* A 16 KB transaction at one mirror is three pieces, however many
+   packets each takes: the undo record pushed at set_range, the data
+   run and the epoch fence. *)
+let test_large_txn_three_pieces () =
+  let b = bed ~k:1 () in
+  let module W = Workloads.Synthetic.Make (P.Engine) in
+  let db = W.setup b.t ~db_size:(64 * 1024) in
+  let nic = Cluster.nic b.cluster in
+  let sink = Trace.Sink.memory () in
+  P.set_sink b.t sink;
+  let before = Sci.Nic.counters nic in
+  W.transaction db (Rng.create 3) ~tx_size:(16 * 1024);
+  let after = Sci.Nic.counters nic in
+  let sci = List.filter (fun (e : Trace.Event.t) -> e.cat = "sci") (Trace.Sink.events sink) in
+  check (Alcotest.list Alcotest.string) "undo record, data run, fence"
+    [ "remote_undo"; "commit_propagate"; "commit_fence" ]
+    (List.map (fun (e : Trace.Event.t) -> Option.value ~default:"" (List.assoc_opt "op" e.args)) sci);
+  check_int "their counts sum to the NIC delta"
+    (after.packets64 + after.packets16 - before.packets64 - before.packets16)
+    (sum_arg "full64" sci + sum_arg "part16" sci)
 
 let test_netram_rpc_events () =
   let b = bed ~k:1 () in
@@ -295,7 +319,8 @@ let suite =
     ("tracing leaves the run byte-identical", `Quick, test_disabled_invariance);
     ("txn spans cover end-to-end latency", `Quick, test_taxonomy_covers_latency);
     ("abort path traced", `Quick, test_abort_span);
-    ("one instant per SCI packet", `Quick, test_nic_packet_events);
+    ("one instant per SCI piece", `Quick, test_nic_piece_events);
+    ("a 16 KB transaction is three pieces", `Quick, test_large_txn_three_pieces);
     ("netram rpc instants", `Quick, test_netram_rpc_events);
     ("supervisor instants", `Quick, test_supervisor_instants);
     ("recovery phase spans", `Quick, test_recovery_spans);
