@@ -43,11 +43,12 @@ exception Double_begin of string
 
 type mirror = {
   m_client : Client.t;
-  mutable m_meta : Remote_segment.t;
-  mutable m_undo : Remote_segment.t;
+  m_meta : Remote_segment.t;
+  m_undo : Remote_segment.t;
   mutable m_dirty : Remote_segment.t option;
       (* the dirty-chunk list, exported while a checkpoint target is
          attached *)
+  mutable m_segs : Remote_segment.t array; (* the segments' copies, by segment index *)
   mutable m_alive : bool;
 }
 
@@ -55,8 +56,7 @@ type segment = {
   seg_name : string;
   index : int;
   size : int;
-  mutable local : Mem.Segment.t;
-  mutable remotes : Remote_segment.t array; (* parallel to t.mirrors *)
+  local : Mem.Segment.t;
   chunk0 : int; (* global index of the segment's first chunk *)
 }
 
@@ -95,19 +95,16 @@ type resync_report = { mode : resync_mode; bytes_copied : int; full_bytes : int 
    tags never decrease along the queue. *)
 type dirty_range = { d_epoch : int64; d_seg : int; d_off : int; d_len : int }
 
-(* Where fuzzy checkpoints go: a remote server's RAM (two alternating
-   slot exports plus a directory word) or a disk device (same layout,
-   slots at fixed offsets past the directory block). *)
-type checkpoint_source = Ram_source of Netram.Server.t | Disk_source of Disk.Device.t
+type checkpoint_source = Ram_source of Netram.Server.t
 
-type ckpt_target =
-  | Ram_target of {
-      c_client : Client.t;
-      c_dir : Remote_segment.t;
-      c_slots : Remote_segment.t array; (* the two alternating slots *)
-      c_scratch : Mem.Segment.t; (* local staging for slot headers and fence words *)
-    }
-  | Disk_target of Disk.Device.t
+(* Where fuzzy checkpoints go: two alternating slot exports plus a
+   directory word in a remote server's RAM. *)
+type ckpt_target = {
+  c_client : Client.t;
+  c_dir : Remote_segment.t;
+  c_slots : Remote_segment.t array; (* the two alternating slots *)
+  c_scratch : Mem.Segment.t; (* local staging for slot headers and fence words *)
+}
 
 (* An in-progress fuzzy checkpoint: segment images stream to the slot
    between commits; [p_started_epoch] bounds the dirty ranges that must
@@ -163,7 +160,7 @@ type t = {
   mutable ckpt_gen : int64; (* newest published generation; 0 = none *)
   mutable ckpt_summary : Iset.t Imap.t;
       (* per-segment union of the dirty entries truncated at the last
-         cut: [ranges_since] unions it in whenever the requested base
+         cut: [owed] unions it in whenever the requested base
          predates the truncation, keeping the dirty log complete for
          incremental resync even after checkpoints empty it *)
   mutable ckpt_summary_upto : int64; (* entries tagged <= this live in the summary *)
@@ -412,6 +409,7 @@ let fresh_mirror client ~config =
     m_meta = Client.malloc client ~name:(Layout.meta_name ~ns:config.namespace) ~size:meta_bytes;
     m_undo = Client.malloc client ~name:(Layout.undo_name ~ns:config.namespace) ~size:config.undo_capacity;
     m_dirty = None;
+    m_segs = [||];
     m_alive = true;
   }
 
@@ -528,17 +526,26 @@ let malloc t ~name ~size =
   if segment t name <> None then failwith (Printf.sprintf "Perseas.malloc: segment %S exists" name);
   let export_name = Layout.db_export_name ~ns:t.config.namespace name in
   let local = alloc_local t size (Printf.sprintf "segment %S" name) in
-  let remotes =
-    Array.map (fun m -> Client.malloc m.m_client ~name:export_name ~size) t.mirrors
-  in
+  Array.iter
+    (fun m -> m.m_segs <- Array.append m.m_segs [| Client.malloc m.m_client ~name:export_name ~size |])
+    t.mirrors;
   let chunk0 = snd (Layout.chunk_bases (List.map (fun s -> s.size) t.segs)) in
-  let seg = { seg_name = name; index = List.length t.segs; size; local; remotes; chunk0 } in
+  let seg = { seg_name = name; index = List.length t.segs; size; local; chunk0 } in
   t.segs <- seg :: t.segs;
   seg
 
 (* Run a transfer plan, giving the fault-injection hook a chance to
    "crash the node" before each packet goes out. *)
-let run_plan t plan = Sci.Nic.apply ?before:t.hook (Cluster.nic t.cluster) plan
+let run_plan t plan = Sci.Nic.run ?before:t.hook (Cluster.nic t.cluster) plan
+
+(* The plans copying runs [(seg, off, len)] of the local database to
+   mirror [m]'s copies. *)
+let plans_for t runs m =
+  List.map
+    (fun (seg, off, len) ->
+      Client.plan_write m.m_client ~widen:t.config.optimized_memcpy m.m_segs.(seg.index) ~seg_off:off
+        ~src_off:(Mem.Segment.base seg.local + off) ~len)
+    runs
 
 (* The dirty-chunk list is kept only while a checkpoint target is
    attached, and written only once a checkpoint has been published:
@@ -577,17 +584,12 @@ let push_meta t =
         (fun () -> [ ("op", "push_meta"); ("node", string_of_int (mirror_node_id m)) ])
         (fun () -> push_meta_to t m))
 
-let push_segment_to t m seg handle =
-  run_plan t
-    (Client.plan_write m.m_client ~widen:t.config.optimized_memcpy handle ~seg_off:0
-       ~src_off:(Mem.Segment.base seg.local) ~len:seg.size)
-
-let push_segment t seg =
-  each_live_mirror t (fun i m -> push_segment_to t m seg seg.remotes.(i))
-
 let init_remote_db t =
   if t.ready then failwith "Perseas.init_remote_db: already initialised";
-  List.iter (push_segment t) t.segs;
+  List.iter
+    (fun seg ->
+      each_live_mirror t (fun _ m -> List.iter (run_plan t) (plans_for t [ (seg, 0, seg.size) ] m)))
+    t.segs;
   t.epoch <- 1L;
   push_meta t;
   t.ready <- true
@@ -894,13 +896,6 @@ let guard_mirror_loss txn f =
 let undo_slot_of t =
   if t.config.group_commit <= 1 then Layout.undo_slot else Layout.undo_slot_packed
 
-let plans_for t runs i m =
-  List.map
-    (fun (seg, off, len) ->
-      Client.plan_write m.m_client ~widen:t.config.optimized_memcpy seg.remotes.(i) ~seg_off:off
-        ~src_off:(Mem.Segment.base seg.local + off) ~len)
-    runs
-
 (* A logged record, header and payload, pushed to the same slot of a
    mirror's undo log. *)
 let plan_undo t m r =
@@ -920,10 +915,10 @@ type eager_phase =
   | Segmeta of append
   | Fence
 
-let phase_plans t phase i m =
+let phase_plans t phase m =
   match phase with
   | Undo recs -> List.map (plan_undo t m) recs
-  | Propagate runs -> plans_for t runs i m
+  | Propagate runs -> plans_for t runs m
   | Segmeta a -> [ Client.plan_convoy m.m_client (append_chunks t m a) ]
   | Fence -> [ plan_epoch_write t m ]
 
@@ -975,7 +970,7 @@ let run_phase txn phase =
               @ convoy
               @ [ ("mirror", string_of_int i); ("node", string_of_int (mirror_node_id m)) ]
               @ epoch)
-            (fun () -> List.iter (run_plan t) (phase_plans t phase i m))))
+            (fun () -> List.iter (run_plan t) (phase_plans t phase m))))
 
 (* Append one undo record — the before-image of [seg[off, off+len)] —
    to the local log and push it to every remote log (Figure 3, steps 1
@@ -1078,13 +1073,13 @@ let flush_undo_chunks batch =
    Full64 stream warm-up are paid once per mirror instead of three
    times.  The fence chunk ships the staged epoch word, so the caller
    must run the plan under [with_staged_epoch].  Returns the dirty-list
-   append that rides along, and the plan for mirror [i]: [flush] runs it
-   and [flush_step_count] counts it. *)
+   append that rides along, and the plan for mirror [m]: [flush] runs
+   it and [flush_step_count] counts it. *)
 let flush_convoy t batch =
   let undo_chunks = flush_undo_chunks batch in
   let w = wset_runs t (batch_wset batch) in
   let append = list_append t w.exact in
-  let chunks i m =
+  let chunks m =
     List.map
       (fun (dst, src, len) ->
         ("undo", t.config.optimized_memcpy, m.m_undo, dst, Mem.Segment.base t.undo_local + src, len))
@@ -1093,7 +1088,7 @@ let flush_convoy t batch =
         (fun (seg, off, len) ->
           ( "data",
             t.config.optimized_memcpy,
-            seg.remotes.(i),
+            m.m_segs.(seg.index),
             off,
             Mem.Segment.base seg.local + off,
             len ))
@@ -1111,7 +1106,7 @@ let flush_convoy t batch =
           8 );
       ]
   in
-  (append, fun i m -> Client.plan_convoy m.m_client (chunks i m))
+  (append, fun m -> Client.plan_convoy m.m_client (chunks m))
 
 (* Overflow relief: flushed transactions leave dead records interleaved
    with the open transactions' live ones, and the tail only resets when
@@ -1187,7 +1182,7 @@ let flush t =
                          ("node", string_of_int (mirror_node_id m));
                          ("epoch", Int64.to_string (Int64.add t.epoch 1L));
                        ])
-                     (fun () -> run_plan t (plan i m)))))
+                     (fun () -> run_plan t (plan m)))))
      with All_mirrors_lost ->
        (* No fence landed anywhere: the batch is not durable.  Roll
           every staged transaction back locally; byte overlap between
@@ -1361,17 +1356,15 @@ let commit txn =
     if List.length t.staged >= t.config.group_commit then flush t
   end
 
-(* Packets the plans [f i m] would put on the wire, summed over the
-   live mirrors.  Plans are pure functions of offsets and lengths, so
-   a dry run moves nothing. *)
+(* Packets the plans [f m] would put on the wire, summed over the live
+   mirrors.  Plans are pure functions of offsets and lengths, so a dry
+   run moves nothing. *)
 let dry_run t f =
-  let count = ref 0 in
-  Array.iteri
-    (fun i m ->
-      if m.m_alive then
-        List.iter (fun plan -> count := !count + Sci.Nic.plan_packets plan) (f i m))
-    t.mirrors;
-  !count
+  Array.fold_left
+    (fun count m ->
+      if not m.m_alive then count
+      else List.fold_left (fun count plan -> count + Sci.Nic.plan_packets plan) count (f m))
+    0 t.mirrors
 
 (* How many flush packets the queue [batch] would cost right now: one
    merged convoy per mirror (packed undo chain, merged data runs,
@@ -1383,14 +1376,14 @@ let flush_step_count t batch =
   | [] -> 0
   | _ :: _ ->
       let _, plan = flush_convoy t batch in
-      dry_run t (fun i m -> [ plan i m ])
+      dry_run t (fun m -> [ plan m ])
 
 let commit_packets txn =
   check_open txn "commit_packets";
   let t = txn.owner in
   if t.config.group_commit <= 1 then
     let phases = commit_phases txn (wset_runs t txn.wset) in
-    dry_run t (fun i m -> List.concat_map (fun phase -> phase_plans t phase i m) phases)
+    dry_run t (fun m -> List.concat_map (fun phase -> phase_plans t phase m) phases)
   else
     (* The transaction's MARGINAL packets: what the flush costs with it
        staged, minus what the already-staged queue costs alone — the
@@ -1471,7 +1464,7 @@ let mirror_checksums t seg =
          if not m.m_alive then None
          else
            let image = Node.dram (Netram.Server.node (Client.server m.m_client)) in
-           Some (i, Mem.Image.checksum image ~off:(Remote_segment.base seg.remotes.(i)) ~len:seg.size))
+           Some (i, Mem.Image.checksum image ~off:(Remote_segment.base m.m_segs.(seg.index)) ~len:seg.size))
 
 let mirror_checksum t seg =
   match mirror_checksums t seg with
@@ -1586,63 +1579,89 @@ let fence_joiner t m =
 
 exception Not_incremental of string
 
-(* Can [client]'s server — an ex-mirror retired at epoch [since] — be
-   brought back by copying only the ranges committed after it left?
-   Yes iff its exported PERSEAS objects survived the outage intact:
-   right names and sizes, metadata header valid, and the replica no
-   further along than the epoch we retired it at (a newer epoch means
-   somebody else wrote to it — trust nothing).  The header reads are
-   real remote reads and charge virtual time. *)
-let incremental_handles t client ~since =
-  let connect_exact name size what =
-    match Client.connect client ~name with
-    | Some h when Remote_segment.len h = size -> h
-    | Some _ -> raise (Not_incremental (what ^ " changed size"))
-    | None -> raise (Not_incremental (what ^ " no longer exported"))
+(* A joiner's handles on [client]'s server.  With [exact = Some since]
+   the joiner is an ex-mirror retired at epoch [since], and its
+   exported PERSEAS objects must have survived the outage intact: right
+   names and sizes, metadata header valid, and the replica no further
+   along than [since] (a newer epoch means somebody else wrote to it —
+   trust nothing); otherwise [Not_incremental] says why.  The header
+   reads are real remote reads and charge virtual time.  With [None]
+   every object is exported, or reconnected when a stale one of the
+   right size is left over. *)
+let joiner_handles t client ~exact =
+  let ns = t.config.namespace in
+  let get name size what =
+    match exact with
+    | None -> connect_or_export client ~name ~size
+    | Some _ -> (
+        match Client.connect client ~name with
+        | Some h when Remote_segment.len h = size -> h
+        | Some _ -> raise (Not_incremental (what ^ " changed size"))
+        | None -> raise (Not_incremental (what ^ " no longer exported")))
   in
-  let meta = connect_exact (Layout.meta_name ~ns:t.config.namespace) (meta_size t) "metadata segment" in
-  if Client.read_u64 client meta ~seg_off:0 <> Layout.meta_magic then
-    raise (Not_incremental "metadata header invalid");
-  if Client.read_u64 client meta ~seg_off:Layout.epoch_offset > since then
-    raise (Not_incremental "replica ahead of its retirement epoch");
-  let undo =
-    connect_exact (Layout.undo_name ~ns:t.config.namespace) t.config.undo_capacity "undo segment"
-  in
+  let meta = get (Layout.meta_name ~ns) (meta_size t) "metadata segment" in
+  Option.iter
+    (fun since ->
+      if Client.read_u64 client meta ~seg_off:0 <> Layout.meta_magic then
+        raise (Not_incremental "metadata header invalid");
+      if Client.read_u64 client meta ~seg_off:Layout.epoch_offset > since then
+        raise (Not_incremental "replica ahead of its retirement epoch"))
+    exact;
+  let undo = get (Layout.undo_name ~ns) t.config.undo_capacity "undo segment" in
   let list =
-    if tracking t then
-      Some
-        (connect_exact (Layout.dirty_list_name ~ns:t.config.namespace) dirty_list_size
-           "dirty-chunk list")
+    if tracking t then Some (get (Layout.dirty_list_name ~ns) dirty_list_size "dirty-chunk list")
     else None
   in
-  let handles =
+  let segs =
     List.map
       (fun seg ->
-        ( seg,
-          connect_exact
-            (Layout.db_export_name ~ns:t.config.namespace seg.seg_name)
-            seg.size
-            (Printf.sprintf "segment %S" seg.seg_name) ))
+        get (Layout.db_export_name ~ns seg.seg_name) seg.size (Printf.sprintf "segment %S" seg.seg_name))
       (segments t)
   in
-  (meta, undo, list, handles)
+  {
+    m_client = client;
+    m_meta = meta;
+    m_undo = undo;
+    m_dirty = list;
+    m_segs = Array.of_list segs;
+    m_alive = true;
+  }
 
 let add_dirty acc d =
   let prev = Option.value (Imap.find_opt d.d_seg acc) ~default:Iset.empty in
   Imap.add d.d_seg (Iset.add prev ~off:d.d_off ~len:d.d_len) acc
 
-(* The ranges a mirror retired at epoch [since] is missing: every dirty
-   entry tagged later than [since], coalesced per segment (overlaps and
-   adjacent runs merged) so each byte is copied at most once.  When the
-   request predates the last checkpoint's truncation, the summary of the
-   truncated entries seeds the union: a superset of what the full log
-   would have returned — conservative over-copy, never a missed byte. *)
-let ranges_since t ~since =
-  let seed = if since < t.ckpt_summary_upto then t.ckpt_summary else Imap.empty in
-  let merged =
-    Queue.fold (fun acc d -> if d.d_epoch > since then add_dirty acc d else acc) seed t.dirty
-  in
-  List.rev (Imap.fold (fun seg_index iset acc -> (seg_index, Iset.intervals iset) :: acc) merged [])
+(* What a copy of the database that was current at epoch [since] lacks,
+   as [(seg, off, len)] runs.  While the dirty log reaches back that far:
+   every dirty entry tagged later than [since], coalesced per segment
+   (overlaps and adjacent runs merged) so each byte is copied at most
+   once — and when [since] predates the last checkpoint's truncation,
+   the summary of the truncated entries seeds the union, a superset of
+   what the full log would have returned (conservative over-copy, never
+   a missed byte).  Otherwise, or with no [since], every segment whole.
+   A joiner's resync and a checkpoint's finalize re-ship both follow
+   this rule. *)
+let owed t ~since =
+  match since with
+  | Some s when s >= t.dirty_floor ->
+      let seed = if s < t.ckpt_summary_upto then t.ckpt_summary else Imap.empty in
+      exact_runs t
+        (Queue.fold (fun acc d -> if d.d_epoch > s then add_dirty acc d else acc) seed t.dirty)
+  | _ -> List.map (fun seg -> (seg, 0, seg.size)) (segments t)
+
+(* Scrub a copy of the local image back to committed state: the image
+   holds open transactions' uncommitted bytes, so [put seg ~off ~src_off
+   ~len] overwrites each range they declared with its before-image from
+   the local undo staging — a range not written yet is rewritten with
+   identical bytes (a no-op). *)
+let scrub_open t put =
+  List.iter
+    (fun txn ->
+      List.iter
+        (fun r ->
+          put r.r_seg ~off:r.r_off ~src_off:(Mem.Segment.base t.undo_local + r.staging_off) ~len:r.r_len)
+        txn.ranges)
+    t.open_txns
 
 (* A joiner's list may be fresh or left over from an earlier life: ship
    every entry appended since the base.  Leftovers past them can only
@@ -1653,6 +1672,12 @@ let ship_list t m =
       (Client.plan_write m.m_client ~widen:t.config.optimized_memcpy (mirror_list m) ~seg_off:0
          ~src_off:(dirty_staging t) ~len:(t.dirty_pos * Layout.dirty_entry_size))
 
+(* Bring [server] in as a mirror.  An ex-mirror retired at an epoch the
+   dirty log still reaches, whose objects survived intact, is owed only
+   the ranges committed since it left (incremental); anything else gets
+   every segment whole.  Either way: fence the joiner, copy what it is
+   owed, ship the dirty-chunk list, scrub open transactions' bytes and
+   bump the epoch. *)
 let do_attach ~op ~allow_incremental t ~server =
   (* Membership changes no longer wait for "no open transaction" —
      under concurrency that moment may never come.  They quiesce the
@@ -1664,128 +1689,53 @@ let do_attach ~op ~allow_incremental t ~server =
   let existing = Array.to_list t.mirrors |> List.exists (fun m -> m.m_alive && mirror_node_id m = node_id) in
   if existing then invalid_arg (Printf.sprintf "Perseas.%s: node already mirrors this database" op);
   let client = Client.create ~cluster:t.cluster ~local:t.local_id ~server in
-  let since =
+  let retired_at =
     if allow_incremental && t.ready then
       match Hashtbl.find_opt t.retired node_id with
       | Some s when s >= t.dirty_floor -> Some s
       | Some _ | None -> None
     else None
   in
-  let incremental =
-    match since with
-    | None -> None
-    | Some s -> (
-        try Some (s, incremental_handles t client ~since:s)
-        with Not_incremental reason ->
-          Log.info (fun k -> k "%s: node %d falls back to a full resync (%s)" op node_id reason);
-          None)
-  in
   let n_before = Array.length t.mirrors in
-  let restore_membership () =
-    if Array.length t.mirrors > n_before then t.mirrors <- Array.sub t.mirrors 0 n_before;
-    List.iter
-      (fun seg ->
-        if Array.length seg.remotes > n_before then seg.remotes <- Array.sub seg.remotes 0 n_before)
-      t.segs
-  in
   try
     traced t ~cat:"mirror" ~name:"resync" ~args:(fun () -> [ ("node", string_of_int node_id) ])
     @@ fun () ->
     with_ctx t (fun () -> [ ("op", "resync"); ("node", string_of_int node_id) ]) @@ fun () ->
-    let report =
-      match incremental with
-      | Some (s, (meta, undo, list, handles)) ->
-          let m =
-            { m_client = client; m_meta = meta; m_undo = undo; m_dirty = list; m_alive = true }
-          in
-          t.mirrors <- Array.append t.mirrors [| m |];
-          List.iter (fun (seg, h) -> seg.remotes <- Array.append seg.remotes [| h |]) handles;
-          fence_joiner t m;
-          let resynced =
-            List.concat_map
-              (fun (seg_index, ranges) ->
-                let seg = seg_of_index t seg_index in
-                List.map (fun (off, len) -> (seg, off, len)) ranges)
-              (ranges_since t ~since:s)
-          in
-          List.iter
-            (fun (seg, off, len) ->
-              run_plan t
-                (Client.plan_write client ~widen:t.config.optimized_memcpy seg.remotes.(n_before)
-                   ~seg_off:off ~src_off:(Mem.Segment.base seg.local + off) ~len))
-            resynced;
-          ship_list t m;
-          let copied = List.fold_left (fun acc (_, _, len) -> acc + len) 0 resynced in
-          { mode = Incremental; bytes_copied = copied; full_bytes = full_bytes t }
-      | None ->
-          let m =
-            {
-              m_client = client;
-              m_meta =
-                connect_or_export client ~name:(Layout.meta_name ~ns:t.config.namespace)
-                  ~size:(meta_size t);
-              m_undo =
-                connect_or_export client
-                  ~name:(Layout.undo_name ~ns:t.config.namespace)
-                  ~size:t.config.undo_capacity;
-              m_dirty =
-                (if tracking t then
-                   Some
-                     (connect_or_export client
-                        ~name:(Layout.dirty_list_name ~ns:t.config.namespace)
-                        ~size:dirty_list_size)
-                 else None);
-              m_alive = true;
-            }
-          in
-          (* Grow the mirror arrays. *)
-          t.mirrors <- Array.append t.mirrors [| m |];
-          if t.ready then fence_joiner t m;
-          List.iter
-            (fun seg ->
-              let handle =
-                connect_or_export client
-                  ~name:(Layout.db_export_name ~ns:t.config.namespace seg.seg_name)
-                  ~size:seg.size
-              in
-              seg.remotes <- Array.append seg.remotes [| handle |];
-              if t.ready then push_segment_to t m seg handle)
-            (segments t);
-          ship_list t m;
-          let bytes = if t.ready then full_bytes t else 0 in
-          { mode = Full; bytes_copied = bytes; full_bytes = full_bytes t }
+    let m, since =
+      try (joiner_handles t client ~exact:retired_at, retired_at)
+      with Not_incremental reason ->
+        Log.info (fun k -> k "%s: node %d falls back to a full resync (%s)" op node_id reason);
+        (joiner_handles t client ~exact:None, None)
     in
-    (* Scrub the joiner: the local image holds open transactions'
-       uncommitted bytes and the copy above shipped them verbatim.
-       Overwrite those ranges with the before-images from the local
-       undo staging, so the joiner starts from committed state only —
-       a range an open transaction has not written yet is rewritten
-       with identical bytes (a no-op). *)
-    List.iter
-      (fun txn ->
-        List.iter
-          (fun r ->
-            run_plan t
-              (Client.plan_write client ~widen:false r.r_seg.remotes.(n_before) ~seg_off:r.r_off
-                 ~src_off:(Mem.Segment.base t.undo_local + r.staging_off) ~len:r.r_len))
-          txn.ranges)
-      t.open_txns;
+    t.mirrors <- Array.append t.mirrors [| m |];
+    let copy = if t.ready then owed t ~since else [] in
+    if t.ready then fence_joiner t m;
+    List.iter (run_plan t) (plans_for t copy m);
+    ship_list t m;
+    scrub_open t (fun seg ~off ~src_off ~len ->
+        run_plan t
+          (Client.plan_write client ~widen:false m.m_segs.(seg.index) ~seg_off:off ~src_off ~len));
     Hashtbl.remove t.retired node_id;
+    let copied = List.fold_left (fun acc (_, _, len) -> acc + len) 0 copy in
     if t.ready then begin
       (* Bump the epoch so stale undo records (here and on every other
          mirror) can never be replayed against the fresh copy. *)
       t.epoch <- Int64.add t.epoch 1L;
       push_meta t;
       t.st.mirrors_recruited <- t.st.mirrors_recruited + 1;
-      t.st.resync_bytes <- t.st.resync_bytes + report.bytes_copied
+      t.st.resync_bytes <- t.st.resync_bytes + copied
     end;
     note_replication t;
-    report
+    {
+      mode = (if since = None then Full else Incremental);
+      bytes_copied = copied;
+      full_bytes = full_bytes t;
+    }
   with Client.Unreachable msg ->
     (* The joiner died mid-resync.  Undo the membership change so the
        live set is exactly what it was; the fence already guarantees a
        half-copied replica can never be mistaken for a sound one. *)
-    restore_membership ();
+    t.mirrors <- Array.sub t.mirrors 0 n_before;
     Log.warn (fun k -> k "%s: node %d unreachable mid-resync (%s)" op node_id msg);
     raise (Client.Unreachable msg)
 
@@ -1812,7 +1762,6 @@ let remirror t ~server =
   flush t;
   Array.iter (fun m -> if m.m_alive then retire_mirror t m) t.mirrors;
   t.mirrors <- [||];
-  List.iter (fun seg -> seg.remotes <- [||]) t.segs;
   attach_mirror t ~server
 
 (* ------------------------------------------------------------------ *)
@@ -1901,62 +1850,32 @@ module Checkpoint = struct
     | Some p -> p
     | None -> failwith (Printf.sprintf "Perseas.Checkpoint.%s: no checkpoint in flight" op)
 
-  (* The disk layout mirrors the RAM one: the directory block
-     (generation word at 0, slot size at 8), then the two slots back to
-     back.  Every device write passes the packet hook first, so crash
-     sweeps can cut a disk checkpoint at the same boundaries as a RAM
-     one. *)
-  let disk_write t device ~off b =
-    (match t.hook with Some f -> f () | None -> ());
-    Disk.Device.write device ~off b
-
-  let disk_slot_base ~slot_size slot = Layout.ckpt_dir_size + (slot * slot_size)
+  (* Run [f] with the causal tags of checkpoint traffic [op] to the
+     target's node. *)
+  let to_target t tg op f =
+    with_ctx t
+      (fun () ->
+        [ ("op", op); ("node", string_of_int (Node.id (Netram.Server.node (Client.server tg.c_client)))) ])
+      f
 
   (* Ship [len] bytes of local DRAM at [src_off] into slot [slot] at
-     [off].  RAM targets stream SCI packets through the fault-injection
-     hook; disk targets write 64 KiB chunks, hooked per chunk. *)
-  let ram_target_node client = Node.id (Netram.Server.node (Client.server client))
-
+     [off], packet by packet through the fault-injection hook. *)
   let slot_write t tg ~slot ~off ~src_off ~len =
-    match tg with
-    | Ram_target r ->
-        with_ctx t
-          (fun () -> [ ("op", "ckpt_ship"); ("node", string_of_int (ram_target_node r.c_client)) ])
-          (fun () ->
-            run_plan t
-              (Client.plan_write r.c_client ~widen:t.config.optimized_memcpy r.c_slots.(slot)
-                 ~seg_off:off ~src_off ~len))
-    | Disk_target device ->
-        let _, slot_size = seg_offsets t in
-        let image = local_dram t in
-        let base = disk_slot_base ~slot_size slot in
-        let chunk = 64 * 1024 in
-        let pos = ref 0 in
-        while !pos < len do
-          let n = min chunk (len - !pos) in
-          disk_write t device ~off:(base + off + !pos)
-            (Mem.Image.read_bytes image ~off:(src_off + !pos) ~len:n);
-          pos := !pos + n
-        done
+    to_target t tg "ckpt_ship" (fun () ->
+        run_plan t
+          (Client.plan_write tg.c_client ~widen:t.config.optimized_memcpy tg.c_slots.(slot)
+             ~seg_off:off ~src_off ~len))
 
   (* Zero the under-construction slot's magic word before any snapshot
      byte lands (the fence_joiner idiom): a crash mid-checkpoint leaves
      a slot recovery's probe refuses, never a torn snapshot it trusts. *)
   let zero_slot_magic t tg slot =
-    match tg with
-    | Ram_target r ->
-        let image = local_dram t in
-        let base = Mem.Segment.base r.c_scratch in
-        Mem.Image.write_u64 image base 0L;
-        with_ctx t
-          (fun () -> [ ("op", "ckpt_ship"); ("node", string_of_int (ram_target_node r.c_client)) ])
-          (fun () ->
-            run_plan t
-              (Client.plan_write r.c_client ~widen:false r.c_slots.(slot) ~seg_off:0 ~src_off:base
-                 ~len:8))
-    | Disk_target device ->
-        let _, slot_size = seg_offsets t in
-        disk_write t device ~off:(disk_slot_base ~slot_size slot) (Bytes.make 8 '\000')
+    let base = Mem.Segment.base tg.c_scratch in
+    Mem.Image.write_u64 (local_dram t) base 0L;
+    to_target t tg "ckpt_ship" (fun () ->
+        run_plan t
+          (Client.plan_write tg.c_client ~widen:false tg.c_slots.(slot) ~seg_off:0 ~src_off:base
+             ~len:8))
 
   (* Publish: header body first, the magic word second, the directory's
      generation word (one atomic 8-byte store) strictly last.  A crash
@@ -1964,32 +1883,19 @@ module Checkpoint = struct
      generation published or the new one — never a torn mix. *)
   let publish t tg p ~cut =
     let msize = meta_size t in
-    let b = meta_image t cut in
-    match tg with
-    | Ram_target r ->
-        let image = local_dram t in
-        let base = Mem.Segment.base r.c_scratch in
-        Mem.Image.write_bytes image ~off:base b;
-        charge_local_copy t msize;
-        with_ctx t
-          (fun () -> [ ("op", "ckpt_publish"); ("node", string_of_int (ram_target_node r.c_client)) ])
-        @@ fun () ->
-        run_plan t
-          (Client.plan_write r.c_client ~widen:t.config.optimized_memcpy r.c_slots.(p.p_slot)
-             ~seg_off:8 ~src_off:(base + 8) ~len:(msize - 8));
-        run_plan t
-          (Client.plan_write r.c_client ~widen:false r.c_slots.(p.p_slot) ~seg_off:0 ~src_off:base
-             ~len:8);
-        Mem.Image.write_u64 image base p.p_gen;
-        run_plan t (Client.plan_write r.c_client ~widen:false r.c_dir ~seg_off:0 ~src_off:base ~len:8)
-    | Disk_target device ->
-        let _, slot_size = seg_offsets t in
-        let base = disk_slot_base ~slot_size p.p_slot in
-        disk_write t device ~off:(base + 8) (Bytes.sub b 8 (msize - 8));
-        disk_write t device ~off:base (Bytes.sub b 0 8);
-        let dir = Bytes.create 8 in
-        Bytes.set_int64_le dir 0 p.p_gen;
-        disk_write t device ~off:0 dir
+    let image = local_dram t in
+    let base = Mem.Segment.base tg.c_scratch in
+    Mem.Image.write_bytes image ~off:base (meta_image t cut);
+    charge_local_copy t msize;
+    to_target t tg "ckpt_publish" @@ fun () ->
+    run_plan t
+      (Client.plan_write tg.c_client ~widen:t.config.optimized_memcpy tg.c_slots.(p.p_slot)
+         ~seg_off:8 ~src_off:(base + 8) ~len:(msize - 8));
+    run_plan t
+      (Client.plan_write tg.c_client ~widen:false tg.c_slots.(p.p_slot) ~seg_off:0 ~src_off:base
+         ~len:8);
+    Mem.Image.write_u64 image base p.p_gen;
+    run_plan t (Client.plan_write tg.c_client ~widen:false tg.c_dir ~seg_off:0 ~src_off:base ~len:8)
 
   let check_settable t op =
     if not t.ready then
@@ -2045,25 +1951,12 @@ module Checkpoint = struct
            directory a previous incarnation left behind. *)
         Client.write_u64 client dir ~seg_off:0 0L;
         let scratch = alloc_local t (meta_size t) "checkpoint staging" in
-        Ram_target { c_client = client; c_dir = dir; c_slots = slots; c_scratch = scratch }
+        { c_client = client; c_dir = dir; c_slots = slots; c_scratch = scratch }
       with Client.Unreachable msg ->
         t.ckpt_target <- None;
         raise (Target_lost msg)
     in
     install_target t tg
-
-  let set_disk_target t ~device =
-    check_settable t "set_disk_target";
-    let _, slot_size = seg_offsets t in
-    let need = Layout.ckpt_dir_size + (2 * slot_size) in
-    if Disk.Device.capacity device < need then
-      invalid_arg
-        (Printf.sprintf "Perseas.Checkpoint.set_disk_target: device too small (%d < %d bytes)"
-           (Disk.Device.capacity device) need);
-    let dir = Bytes.make Layout.ckpt_dir_size '\000' in
-    Bytes.set_int64_le dir 8 (Int64.of_int slot_size);
-    Disk.Device.write device ~off:0 dir;
-    install_target t (Disk_target device)
 
   let clear_target t =
     if t.ckpt_inflight <> None then failwith "Perseas.Checkpoint.clear_target: checkpoint in flight";
@@ -2135,49 +2028,22 @@ module Checkpoint = struct
       with_target t @@ fun () ->
       ignore (ship t tg p ~budget:max_int);
       let offs, _ = seg_offsets t in
-      let slot_off_of =
-        let tbl = Hashtbl.create 8 in
-        List.iter (fun (seg, o) -> Hashtbl.replace tbl seg.index (seg, o)) offs;
-        fun index -> Hashtbl.find tbl index
-      in
+      let slot_off = Array.of_list (List.map snd offs) in
       let reship = ref 0 in
+      let put seg ~off ~src_off ~len =
+        slot_write t tg ~slot:p.p_slot ~off:(slot_off.(seg.index) + off) ~src_off ~len;
+        reship := !reship + len
+      in
       (* Bring the snapshot to the cut: re-ship every range committed
          (or conservatively dirtied by an abort) since the snapshot
-         began.  If the dirty log's floor rose past the start epoch
-         (overflow), what changed is unknowable — re-ship the images
-         whole. *)
-      if p.p_started_epoch >= t.dirty_floor then
-        List.iter
-          (fun (seg_index, ranges) ->
-            let seg, slot_off = slot_off_of seg_index in
-            List.iter
-              (fun (off, len) ->
-                slot_write t tg ~slot:p.p_slot ~off:(slot_off + off)
-                  ~src_off:(Mem.Segment.base seg.local + off) ~len;
-                reship := !reship + len)
-              ranges)
-          (ranges_since t ~since:p.p_started_epoch)
-      else
-        List.iter
-          (fun (seg, slot_off) ->
-            slot_write t tg ~slot:p.p_slot ~off:slot_off ~src_off:(Mem.Segment.base seg.local)
-              ~len:seg.size;
-            reship := !reship + seg.size)
-          offs;
-      (* Scrub in-flight transactions out of the snapshot: overwrite
-         their declared ranges with the before-images from the undo
-         staging, so the slot holds committed state only (the in-flight
-         txn fence of the cut). *)
+         began — the images whole if the dirty log's floor rose past
+         the start epoch (overflow) — then scrub in-flight transactions
+         out of it, so the slot holds committed state only (the
+         in-flight txn fence of the cut). *)
       List.iter
-        (fun txn ->
-          List.iter
-            (fun r ->
-              let _, slot_off = slot_off_of r.r_seg.index in
-              slot_write t tg ~slot:p.p_slot ~off:(slot_off + r.r_off)
-                ~src_off:(Mem.Segment.base t.undo_local + r.staging_off) ~len:r.r_len;
-              reship := !reship + r.r_len)
-            txn.ranges)
-        t.open_txns;
+        (fun (seg, off, len) -> put seg ~off ~src_off:(Mem.Segment.base seg.local + off) ~len)
+        (owed t ~since:(Some p.p_started_epoch));
+      scrub_open t put;
       t.st.checkpoint_bytes <- t.st.checkpoint_bytes + !reship;
       let cut = t.epoch in
       publish t tg p ~cut;
@@ -2193,7 +2059,7 @@ module Checkpoint = struct
       (cut, truncated)
     in
     (* Dirty log: fold entries at or before the cut into the summary
-       that keeps [ranges_since] complete for incremental resync. *)
+       that keeps [owed] complete for incremental resync. *)
     let rec pop_old acc =
       match Queue.peek_opt t.dirty with
       | Some d when d.d_epoch <= cut -> pop_old (add_dirty acc (Queue.pop t.dirty))
@@ -2261,47 +2127,43 @@ let required what = function
   | Some v -> v
   | None -> failwith (Printf.sprintf "Perseas.recover: %s not found on the memory server" what)
 
-(* Probe one candidate mirror server: its epoch if it holds a readable
-   PERSEAS metadata segment. *)
-let probe_server ~cluster ~local ~ns server =
-  if not (Netram.Server.is_alive server) then None
-  else
-    let client = Client.create ~cluster ~local ~server in
-    match Client.connect client ~name:(Layout.meta_name ~ns) with
-    | None -> None
-    | Some meta ->
-        let image = Node.dram (Netram.Server.node server) in
-        let header =
-          Mem.Image.read_bytes image ~off:(Remote_segment.base meta) ~len:Layout.meta_header_size
-        in
-        if Layout.read_meta_magic header <> Layout.meta_magic then None
-        else Some (client, meta, Layout.read_epoch header)
-
-(* Where recovery takes the chunks a checkpoint slot holds current. *)
-type slot_source =
-  | In_place of { s_base : int; s_dir : int }
-      (* the slot and its directory word sit in the recovering node's
-         own DRAM: its bytes are adopted where they lie *)
-  | Remote_slot of Client.t * Remote_segment.t
-  | Disk_slot of Disk.Device.t * int (* device, slot base *)
-
 let recover_replicated ?(config = default_config) ?(sink = Trace.Sink.noop) ?hook ?on_repair
     ?checkpoint ?(helpers = []) ~cluster ~local ~servers () =
   if servers = [] then invalid_arg "Perseas.recover: no candidate servers";
+  let nic = Cluster.nic cluster in
+  let p = Sci.Nic.params nic in
+  let clk = Cluster.clock cluster in
   (* Recovery phases are traced as contiguous [recovery] spans: each
      [mark] closes the phase that began where the previous one ended,
      so the four spans partition recovery's whole virtual extent. *)
-  let phase_start = ref (Clock.now (Cluster.clock cluster)) in
+  let phase_start = ref (Clock.now clk) in
   let mark name =
     if Trace.Sink.enabled sink then begin
-      let stop = Clock.now (Cluster.clock cluster) in
+      let stop = Clock.now clk in
       Trace.Sink.span sink ~cat:"recovery" ~name ~start:!phase_start ~stop;
       phase_start := stop
     end
   in
-  let candidates =
-    List.filter_map (probe_server ~cluster ~local ~ns:config.namespace) servers
+  (* Every remote byte recovery reads is a NIC read plan, run through
+     the fault-injection hook: a crash can cut recovery at any packet. *)
+  let run ?clock plan = Sci.Nic.run ?before:hook ?clock nic plan in
+  let read_remote c h ~off ~len =
+    let b = Bytes.create len in
+    run (Client.read_planner c h ~dst:(Mem.Image.of_bytes b) ~seg_off:off ~dst_off:0 ~len);
+    b
   in
+  (* Probe each candidate mirror server: its epoch if it exports a
+     PERSEAS metadata segment whose header reads valid. *)
+  let probe server =
+    if not (Netram.Server.is_alive server) then None
+    else
+      let client = Client.create ~cluster ~local ~server in
+      Option.bind (Client.connect client ~name:(Layout.meta_name ~ns:config.namespace)) (fun meta ->
+          let header = read_remote client meta ~off:0 ~len:Layout.meta_header_size in
+          if Layout.read_meta_magic header <> Layout.meta_magic then None
+          else Some (client, meta, Layout.read_epoch header))
+  in
+  let candidates = List.filter_map probe servers in
   mark "probe";
   (* Trust the mirror that reached the highest epoch: it is the only
      one that may have seen the latest commit point.  A candidate whose
@@ -2312,17 +2174,6 @@ let recover_replicated ?(config = default_config) ?(sink = Trace.Sink.noop) ?hoo
      an intact one.  The sort is stable so equal epochs keep the
      caller's server order. *)
   let ranked = List.stable_sort (fun (_, _, a) (_, _, b) -> compare b a) candidates in
-  let nic = Cluster.nic cluster in
-  let p = Sci.Nic.params nic in
-  let clk = Cluster.clock cluster in
-  (* Every remote byte recovery reads is a NIC read plan, run through
-     the fault-injection hook: a crash can cut recovery at any packet. *)
-  let run ?clock plan = Sci.Nic.run ?before:hook ?clock nic plan in
-  let read_remote c h ~off ~len =
-    let b = Bytes.create len in
-    run (Client.read_planner c h ~dst:(Mem.Image.of_bytes b) ~seg_off:off ~dst_off:0 ~len);
-    b
-  in
   (* Remote areas read only as far as a scan needs them: a buffer the
      size of [h], filled [fetch_block] bytes at a time. *)
   let fetch_block = 4096 in
@@ -2390,6 +2241,7 @@ let recover_replicated ?(config = default_config) ?(sink = Trace.Sink.noop) ?hoo
           m_meta = meta_remote;
           m_undo = undo_remote;
           m_dirty = None;
+          m_segs = Array.of_list (List.map (fun (_, _, h) -> h) remotes);
           m_alive = true;
         };
       |]
@@ -2475,7 +2327,7 @@ let recover_replicated ?(config = default_config) ?(sink = Trace.Sink.noop) ?hoo
   let seg_offs, slot_size = ckpt_offsets ~meta_size:msize sizes in
   let chunk0s, nchunks = Layout.chunk_bases sizes in
   let base = Layout.read_ckpt_base meta_bytes in
-  let slot_cut header =
+  let slot_valid header =
     let cut = Layout.read_epoch header in
     let table_matches () =
       List.for_all
@@ -2485,76 +2337,42 @@ let recover_replicated ?(config = default_config) ?(sink = Trace.Sink.noop) ?hoo
           | exception Failure _ -> false)
         (List.mapi (fun i (n, s, _) -> (i, n, s)) remotes)
     in
-    if
-      Layout.read_meta_magic header = Layout.meta_magic
-      && base <= cut && cut <= current_epoch
-      && Layout.read_nsegs header = nremotes
-      && table_matches ()
-    then Some cut
-    else None
+    Layout.read_meta_magic header = Layout.meta_magic
+    && base <= cut && cut <= current_epoch
+    && Layout.read_nsegs header = nremotes
+    && table_matches ()
   in
-  let newest_slot try_gen dgen =
-    let try_gen gen = if gen <= 0L then None else try_gen gen in
-    match try_gen dgen with None -> try_gen (Int64.pred dgen) | r -> r
-  in
-  let probe_ram cserver =
-    if not (Netram.Server.is_alive cserver) then None
-    else
-      let cnode = Node.id (Netram.Server.node cserver) in
-      let cclient =
-        if cnode = local then None else Some (Client.create ~cluster ~local ~server:cserver)
-      in
-      (* The recovering node's own DRAM costs a local copy; another
-         node's, a NIC read. *)
-      let read h ~len =
-        match cclient with
-        | None ->
-            Clock.advance clk (Sci.Model.local_copy p len);
-            Mem.Image.read_bytes image ~off:(Remote_segment.base h) ~len
-        | Some c -> read_remote c h ~off:0 ~len
-      in
-      match Netram.Server.lookup cserver ~name:(Layout.ckpt_dir_name ~ns:config.namespace) with
-      | None -> None
-      | Some dir ->
-          newest_slot
-            (fun gen ->
-              match
-                Netram.Server.lookup cserver
-                  ~name:
-                    (Layout.ckpt_slot_name ~ns:config.namespace
-                       ~slot:(Int64.to_int (Int64.rem gen 2L)))
-              with
-              | Some h when Remote_segment.len h = slot_size ->
-                  let source =
-                    match cclient with
-                    | None ->
-                        In_place { s_base = Remote_segment.base h; s_dir = Remote_segment.base dir }
-                    | Some c -> Remote_slot (c, h)
-                  in
-                  Option.map (fun _ -> source) (slot_cut (read h ~len:msize))
-              | _ -> None)
-            (Bytes.get_int64_le (read dir ~len:8) 0)
-  in
-  let probe_disk device =
-    let dirb = Disk.Device.read device ~off:0 ~len:Layout.ckpt_dir_size in
-    if Int64.to_int (Bytes.get_int64_le dirb 8) <> slot_size then None
-    else
-      newest_slot
-        (fun gen ->
-          let sbase = Layout.ckpt_dir_size + (Int64.to_int (Int64.rem gen 2L) * slot_size) in
-          if sbase + slot_size > Disk.Device.capacity device then None
-          else
-            let header = Disk.Device.read device ~off:sbase ~len:msize in
-            Option.map (fun _ -> Disk_slot (device, sbase)) (slot_cut header))
-        (Bytes.get_int64_le dirb 0)
-  in
+  (* The slot is adopted only where it lies, in this node's own DRAM
+     (recover on the checkpoint target for the shortest recovery):
+     anywhere else reading it costs as much as reading the repaired
+     mirror, which recovery then does instead.  Its directory and
+     header reads are local copies. *)
   let slot =
-    if base = 0L then None
-    else
-      match checkpoint with
-      | Some (Ram_source s) -> probe_ram s
-      | Some (Disk_source d) -> probe_disk d
-      | None -> None
+    match checkpoint with
+    | Some (Ram_source cserver)
+      when base <> 0L
+           && Netram.Server.is_alive cserver
+           && Node.id (Netram.Server.node cserver) = local -> (
+        let read h ~len =
+          Clock.advance clk (Sci.Model.local_copy p len);
+          Mem.Image.read_bytes image ~off:(Remote_segment.base h) ~len
+        in
+        let lookup name = Netram.Server.lookup cserver ~name in
+        let adoptable gen =
+          if gen <= 0L then None
+          else
+            match
+              lookup (Layout.ckpt_slot_name ~ns:config.namespace ~slot:(Int64.to_int (Int64.rem gen 2L)))
+            with
+            | Some h when Remote_segment.len h = slot_size && slot_valid (read h ~len:msize) ->
+                Some (Remote_segment.base h)
+            | _ -> None
+        in
+        Option.bind (lookup (Layout.ckpt_dir_name ~ns:config.namespace)) (fun dir ->
+            let dgen = Bytes.get_int64_le (read dir ~len:8) 0 in
+            let newest = match adoptable dgen with None -> adoptable (Int64.pred dgen) | s -> s in
+            Option.map (fun s -> (s, dir)) newest))
+    | _ -> None
   in
   (* The one segment whose chunk numbers hold the run [first, +count),
      or -1. *)
@@ -2605,11 +2423,10 @@ let recover_replicated ?(config = default_config) ?(sink = Trace.Sink.noop) ?hoo
   let adopt =
     Option.bind slot (fun source -> Option.map (fun list -> (source, list)) (read_list ()))
   in
-  (* The fetch.  Each segment's image comes from its source — the slot
-     when one is adopted (in place when it sits in this node's DRAM),
-     the mirror otherwise, one remote-to-local copy per segment (paper,
-     end of section 3) — and then every chunk the list names comes from
-     the mirror, over the slot's bytes.  Remote reads are NIC read plans
+  (* The fetch.  Each segment's image is the slot's, adopted where it
+     lies, or else the mirror's, one remote-to-local copy per segment
+     (paper, end of section 3); over an adopted slot every chunk the
+     list names comes from the mirror.  Remote reads are NIC read plans
      dealt to 1 + N streams, the helper nodes each pulling a share: each
      plan goes to the stream with the least virtual time dealt so far,
      and virtual time advances by the slowest stream plus one
@@ -2645,26 +2462,17 @@ let recover_replicated ?(config = default_config) ?(sink = Trace.Sink.noop) ?hoo
   let fetch_segment index (((name, size, handle), slot_off), chunk0) =
     let local =
       match adopt with
-      | Some (In_place { s_base; _ }, _) ->
-          (* Zero-copy adoption: the slot lives in this node's DRAM, so
-             the recovered database takes ownership of its bytes where
-             they lie. *)
-          Mem.Segment.v ~base:(s_base + slot_off) ~len:size
-      | _ -> alloc_local t size (Printf.sprintf "segment %S" name)
+      | Some ((slot_base, _), _) ->
+          (* Zero-copy adoption: the recovered database takes ownership
+             of the slot's bytes where they lie. *)
+          Mem.Segment.v ~base:(slot_base + slot_off) ~len:size
+      | None ->
+          let local = alloc_local t size (Printf.sprintf "segment %S" name) in
+          fetch_image (Client.read_planner client handle ~dst:image) ~seg_off:0
+            ~dst_off:(Mem.Segment.base local) ~len:size;
+          local
     in
-    let base = Mem.Segment.base local in
-    (match adopt with
-    | None ->
-        fetch_image (Client.read_planner client handle ~dst:image) ~seg_off:0 ~dst_off:base
-          ~len:size
-    | Some (In_place _, _) -> ()
-    | Some (Remote_slot (c, h), _) ->
-        fetch_image (Client.read_planner c h ~dst:image) ~seg_off:slot_off ~dst_off:base ~len:size
-    | Some (Disk_slot (device, sbase), _) ->
-        (match hook with Some f -> f () | None -> ());
-        Mem.Image.write_bytes image ~off:base
-          (Disk.Device.read device ~off:(sbase + slot_off) ~len:size));
-    { seg_name = name; index; size; local; remotes = [| handle |]; chunk0 }
+    { seg_name = name; index; size; local; chunk0 }
   in
   let segs = List.mapi fetch_segment (List.combine (List.combine remotes seg_offs) chunk0s) in
   t.segs <- List.rev segs;
@@ -2680,7 +2488,9 @@ let recover_replicated ?(config = default_config) ?(sink = Trace.Sink.noop) ?hoo
          a segment are marked and numbers leave a gap between
          segments, so no run spans two. *)
       let segs = Array.of_list segs in
-      let planners = Array.map (fun seg -> Client.read_planner client seg.remotes.(0) ~dst:image) segs in
+      let planners =
+        Array.of_list (List.map (fun (_, _, h) -> Client.read_planner client h ~dst:image) remotes)
+      in
       for pos = 0 to n - 1 do
         let first = Layout.dirty_entry_first buf ~off:(pos * Layout.dirty_entry_size) in
         if bit_get marks first then begin
@@ -2705,9 +2515,7 @@ let recover_replicated ?(config = default_config) ?(sink = Trace.Sink.noop) ?hoo
   (* After in-place adoption the slot region IS the live database:
      invalidate the local directory so no later recovery can mistake it
      for a checkpoint again. *)
-  (match adopt with
-  | Some (In_place { s_dir; _ }, _) -> Mem.Image.write_u64 image s_dir 0L
-  | _ -> ());
+  Option.iter (fun ((_, dir), _) -> Mem.Image.write_u64 image (Remote_segment.base dir) 0L) adopt;
   (* The recovered engine keeps no list until a target is attached and
      a checkpoint published again: zero the mirror's base word so no
      later recovery trusts entries nobody appends. *)

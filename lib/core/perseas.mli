@@ -347,18 +347,17 @@ val verify_mirrors : t -> (string * int) list
 (** {1 Fuzzy checkpoints}
 
     A checkpoint is a consistent database image on a {e third} failure
-    domain — a spare node's RAM or a disk — taken in the background
+    domain — a spare node's RAM — taken in the background
     while transactions keep committing (fuzzy: the snapshot is shipped
     in budgeted steps, then brought to a consistent {e cut} at finalize
     time by re-shipping what committed meanwhile and scrubbing
     in-flight transactions' bytes back to their before-images).  A
     published checkpoint lets the engine {e truncate} its recovery
     state — undo log, dirty-range log, retired-epoch table — and lets
-    {!recover_replicated} restore all segments unmodified since the cut
-    straight from the snapshot (on the target node itself: by adopting
-    the bytes in place, O(1) per segment) instead of copying the whole
-    database from a mirror: recovery time stops growing with database
-    size.
+    {!recover_replicated}, run on the target's node, adopt the snapshot
+    where it lies (O(1) per segment) and read from a mirror only the
+    chunks committed since the cut, instead of copying the whole
+    database: recovery time stops growing with database size.
 
     Two slots alternate on the target, and a slot's magic word is
     zeroed before its first snapshot byte and re-written strictly last
@@ -369,10 +368,8 @@ val verify_mirrors : t -> (string * int) list
 
 type checkpoint_source =
   | Ram_source of Netram.Server.t
-  | Disk_source of Disk.Device.t
       (** Where {!recover_replicated} should look for checkpoint slots:
-          a spare's memory server ({!Checkpoint.set_ram_target}) or a
-          disk device ({!Checkpoint.set_disk_target}). *)
+          the memory server given to {!Checkpoint.set_ram_target}. *)
 
 module Checkpoint : sig
   exception Target_lost of string
@@ -396,11 +393,6 @@ module Checkpoint : sig
       {!init_remote_db} or with a checkpoint in flight,
       [Invalid_argument] on a database without segments,
       {!Target_lost} if the server is unreachable. *)
-
-  val set_disk_target : t -> device:Disk.Device.t -> unit
-  (** Same, but checkpoint to stable storage: directory block at device
-      offset 0, the two slots behind it.  Raises [Invalid_argument] if
-      the device cannot hold both slots. *)
 
   val clear_target : t -> unit
   (** Detach the target and stop the dirty-chunk list (mirrors get a
@@ -505,28 +497,30 @@ val recover_replicated :
     candidate holds a recoverable database.
 
     [checkpoint] offers a place to look for checkpoint slots (see
-    {!module:Checkpoint}).  If the chosen mirror's metadata carries a
-    non-zero dirty-list base and a slot passes validation — magic fence
-    intact, cut between that base and the mirror's epoch, segment table
-    matching — the database restores from the snapshot (adopted {e in
-    place}, zero-copy, when the slot lives in this node's own DRAM —
-    recover on the checkpoint target for the shortest recovery), and
-    the chunks the mirror's dirty-chunk list names come from the
-    repaired mirror over it, consecutive chunks in one read; with no
-    valid slot, or a full list, everything comes from the mirror.  A
-    torn slot falls back to the previous generation, then to plain
-    mirror fetch — never trusted.  A recovery that found a base set
-    zeroes it: the rebuilt engine keeps no list until a target is
-    attached and a checkpoint published again.
+    {!module:Checkpoint}).  A slot is adopted only where it lies: when
+    the server lives on node [local] (recover on the checkpoint target
+    for the shortest recovery), the chosen mirror's metadata carries a
+    non-zero dirty-list base and the slot passes validation — magic
+    fence intact, cut between that base and the mirror's epoch, segment
+    table matching — the database takes the snapshot's bytes in place,
+    zero-copy, and the chunks the mirror's dirty-chunk list names come
+    from the repaired mirror over it, consecutive chunks in one read.
+    On any other node, with no valid slot, or with a full list,
+    everything comes from the mirror: a recovery elsewhere reads and
+    costs exactly what it would without [checkpoint].  A torn slot
+    falls back to the previous generation, then to plain mirror fetch —
+    never trusted.  A recovery that found a base set zeroes it: the
+    rebuilt engine keeps no list until a target is attached and a
+    checkpoint published again.
 
-    Every remote byte recovery reads — the mirror's metadata, the undo
-    prefix the repair scan walks, the dirty-chunk list's used prefix,
-    mirror and remote-slot images — is a {!Sci.Nic} read plan, so the
-    NIC counters see it.  [hook] runs before every packet of those plans (and of the
-    resync that re-attaches the other survivors), before each undo
-    record the repair copies, and before each disk read of a slot; it
-    may raise to cut recovery there, as {!set_packet_hook} cuts a
-    commit.
+    Every remote byte recovery reads — each candidate's metadata header,
+    the chosen mirror's metadata, the undo prefix the repair scan walks,
+    the dirty-chunk list's used prefix and the mirror's images — is a
+    {!Sci.Nic} read plan, so the NIC counters see it.  [hook] runs
+    before every packet of those plans (and of the resync that
+    re-attaches the other survivors) and before each undo record the
+    repair copies; it may raise to cut recovery there, as
+    {!set_packet_hook} cuts a commit.
 
     [helpers] are other cluster nodes recruited to pull remote reads in
     parallel: each read goes to the least-loaded of [1 + N] streams (by

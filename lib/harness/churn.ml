@@ -309,15 +309,20 @@ let run ?(params = default_params) ?telemetry ?postmortem ?sink () =
   let pre = signature t in
   let stats = P.stats t in
   (* The availability claim under churn: kill the primary, rebuild the
-     database on a workstation that has never seen it, and compare
-     against the committed image. *)
+     database on a workstation that has never seen it — or, with
+     checkpoints on, on the target's node, which adopts the slot in
+     place — and compare against the committed image. *)
   ignore (Cluster.crash_node cluster 0 Cluster.Failure.Software_error);
   let candidate_servers = List.init pool (fun i -> Hashtbl.find servers (i + 1)) in
+  let checkpoint, local =
+    match ckpt_server with
+    | Some s -> (Some (P.Ram_source s), observer + 1)
+    | None -> (None, observer)
+  in
   let t2 =
     P.recover_replicated ~config:(P.config t)
       ?sink:(Option.map (fun (f, _) -> Forensics.sink f) forensics)
-      ?checkpoint:(Option.map (fun s -> P.Ram_source s) ckpt_server)
-      ~cluster ~local:observer ~servers:candidate_servers ()
+      ?checkpoint ~cluster ~local ~servers:candidate_servers ()
   in
   let committed_data_preserved = signature t2 = pre in
   let recovered_consistent = W.consistent (W.rebind db t2) in

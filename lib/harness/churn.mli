@@ -26,8 +26,9 @@ type params = {
           background checkpointer fires every interval of virtual time
           while the churn schedule runs — so supervisor recruitments
           resync incrementally across log truncations, and the final
-          kill-the-primary recovery restores from the checkpoint plus
-          the mirror tail. *)
+          kill-the-primary recovery runs on that node, adopting the
+          checkpoint in place and reading the chunks committed after
+          its cut from the mirror. *)
 }
 
 val default_params : params

@@ -13,8 +13,7 @@
    geometry — and checks them live against the NIC's piece stream:
    every commit unit's measured packets (the counts its SCI pieces
    carry) are compared to the prediction the moment that unit's fence
-   piece lands, and any excess beyond tolerance raises a typed {!drift}
-   alert.
+   piece lands, and any difference raises a typed {!drift} alert.
 
    The model is deliberately independent of the engine's own dry runs
    ([commit_packets], [flush_step_count]): it never calls into
@@ -85,7 +84,6 @@ type t = {
   buffer : int;
   sub : int;
   threshold : int;
-  tolerance_pkts : int;
   on_drift : drift -> unit;
   txns : (string, txn_state) Hashtbl.t;
   mutable staged : (string * txn_state) list; (* staging order *)
@@ -101,7 +99,7 @@ type t = {
   class_meas : (string, cost) Hashtbl.t;
 }
 
-let create ?(tolerance_pkts = 0) ?tracking ?(on_drift = fun _ -> ())
+let create ?tracking ?(on_drift = fun _ -> ())
     ~(config : Perseas.config) ~(params : Sci.Params.t) () =
   {
     group = config.group_commit;
@@ -128,7 +126,6 @@ let create ?(tolerance_pkts = 0) ?tracking ?(on_drift = fun _ -> ())
     buffer = params.Sci.Params.buffer_bytes;
     sub = params.Sci.Params.subblock_bytes;
     threshold = Sci.Params.memcpy_threshold params;
-    tolerance_pkts;
     on_drift;
     txns = Hashtbl.create 16;
     staged = [];
@@ -497,10 +494,7 @@ let on_piece t (e : Trace.Event.t) =
             class_bump t.class_pred "data" u.u_data;
             class_bump t.class_pred "segmeta" u.u_segmeta;
             class_bump t.class_pred "fence" u.u_fence;
-            if
-              abs (cost_packets total - cost_packets predicted) > t.tolerance_pkts
-              || total.bytes <> predicted.bytes
-            then begin
+            if cost_packets total <> cost_packets predicted || total.bytes <> predicted.bytes then begin
               let d =
                 { d_unit = key; d_node = node; d_class = "unit"; d_predicted = predicted; d_measured = total }
               in

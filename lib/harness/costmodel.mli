@@ -12,7 +12,7 @@
     carry, predicts every commit unit's packet cost per node, and
     settles the account the moment that unit's fence piece lands —
     raising a typed {!drift} alert whenever measured and predicted
-    packets disagree beyond tolerance (or bytes disagree at all).
+    packets or bytes disagree at all.
 
     It is deliberately independent of the engine's own dry runs: the
     packetisation and widening arithmetic is re-derived here, never
@@ -41,23 +41,20 @@ val describe : drift -> string
 type t
 
 val create :
-  ?tolerance_pkts:int ->
   ?tracking:int list ->
   ?on_drift:(drift -> unit) ->
   config:Perseas.config ->
   params:Sci.Params.t ->
   unit ->
   t
-(** [tolerance_pkts] (default 0: the model claims exactness) is the
-    allowed absolute packet-count gap per (unit, node) before an alert;
-    byte mismatches always alert.  Set [tracking] to the database's
-    segment sizes, in index order, when the engine keeps a dirty-chunk
-    list — attach the model right after a checkpoint is published, so
-    the list stands empty: every commit unit then also appends one
-    entry per run of chunks it touched, which the model numbers from
-    those sizes and {!Layout.chunk_bytes}, and each later checkpoint's
-    finalize instant starts the list over.  [on_drift] fires
-    synchronously per alert. *)
+(** The model claims exactness: any packet or byte gap per (unit,
+    node) is an alert.  Set [tracking] to the database's segment sizes,
+    in index order, when the engine keeps a dirty-chunk list — attach
+    the model right after a checkpoint is published, so the list stands
+    empty: every commit unit then also appends one entry per run of
+    chunks it touched, which the model numbers from those sizes and
+    {!Layout.chunk_bytes}, and each later checkpoint's finalize instant
+    starts the list over.  [on_drift] fires synchronously per alert. *)
 
 val sink : t -> Trace.Sink.t
 (** An {!Trace.Sink.observer} feeding the model; tee it next to the

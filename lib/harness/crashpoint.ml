@@ -108,7 +108,8 @@ let check_epoch label ~epoch_before ~epoch_after =
 (* ------------------------------------------------------------------ *)
 (* Primary-victim point: the paper's headline scenario.  The hook
    raises with exactly [k] packets sent, the primary node is crashed,
-   and the database is rebuilt on the spare from the mirrors. *)
+   and the database is rebuilt from the mirrors — on the spare, or on
+   the checkpoint target's node while the scenario keeps one alive. *)
 
 exception Crash
 
@@ -145,13 +146,15 @@ let run_primary_point ?(attach = fun (_ : env) -> ()) ?(recovery_sink = Trace.Si
   else begin
     ignore (Cluster.crash_node env.cluster env.primary Cluster.Failure.Software_error);
     let replayed = ref 0 and bytes = ref 0 in
-    (* When the scenario maintains a checkpoint target, recovery gets
-       it as a restore source: the probe must reject slots the crash
-       left torn and fall back to the mirrors without losing a byte. *)
-    let checkpoint =
+    (* When the scenario maintains a checkpoint target, recovery runs
+       on its node, where a slot is adopted in place: the probe must
+       reject slots the crash left torn and fall back to the mirrors
+       without losing a byte. *)
+    let checkpoint, local =
       match env.ckpt with
-      | Some s when Netram.Server.is_alive s -> Some (P.Ram_source s)
-      | _ -> None
+      | Some s when Netram.Server.is_alive s ->
+          (Some (P.Ram_source s), Node.id (Netram.Server.node s))
+      | _ -> (None, env.spare)
     in
     let t0 = Clock.now env.clock in
     let t2 =
@@ -159,7 +162,7 @@ let run_primary_point ?(attach = fun (_ : env) -> ()) ?(recovery_sink = Trace.Si
         ~on_repair:(fun ~name:_ ~len ->
           incr replayed;
           bytes := !bytes + len)
-        ?checkpoint ~cluster:env.cluster ~local:env.spare ~servers:env.servers ()
+        ?checkpoint ~cluster:env.cluster ~local ~servers:env.servers ()
     in
     let recovery_us = Time.to_us (Clock.now env.clock - t0) in
     let image =
@@ -296,8 +299,8 @@ let run_node_point ?(attach = fun (_ : env) -> ()) scenario ~pre ~checkpoints ~p
    interrupted at any packet without costing a committed byte. *)
 
 (* The first and second recovery nodes: the checkpoint target's own
-   node (adopting its slot in place) and the spare (reading it
-   remotely), in the order [in_place_first] picks. *)
+   node (adopting its slot in place) and the spare (reading the
+   mirror), in the order [in_place_first] picks. *)
 let recovery_nodes env ~in_place_first =
   let target =
     match env.ckpt with

@@ -28,13 +28,16 @@ type env = {
   spare : int;  (** Free node: recovery target, or replacement mirror. *)
   ckpt : Netram.Server.t option;
       (** Checkpoint-target server, when the scenario maintains one:
-          the primary sweep hands it to recovery as a restore source,
-          and the {!Ckpt_target} sweep kills its node. *)
+          the primary sweep recovers on its node with it as a restore
+          source, and the {!Ckpt_target} sweep kills its node. *)
   t : Perseas.t;
 }
 
 type victim =
-  | Primary  (** Kill the library's node; recover on the spare. *)
+  | Primary
+      (** Kill the library's node; recover on the spare, or on the
+          checkpoint target's node while the scenario keeps a live
+          one. *)
   | Mirror of int
       (** Kill the mirror with this index (into {!Perseas.mirrors});
           the primary lives and must finish degraded or roll back. *)
@@ -51,8 +54,8 @@ type victim =
           again on another node.  With [in_place_first] the first
           recovery runs on the target's own node, adopting its slot in
           place, and the second on the spare; otherwise the spare goes
-          first, reading the slot remotely, and the second adopts in
-          place.  The committed post-image is the only legal
+          first, reading every segment from the mirror, and the second
+          adopts in place.  The committed post-image is the only legal
           outcome. *)
 
 type image = Pre | Post | Checkpoint of int
@@ -152,9 +155,10 @@ val checkpoint_scenario : ?mirrors:int -> ?seg_size:int -> unit -> scenario
     and scrub, and the header/magic/directory publication all get their
     packets cut).  [checkpoint] images are declared after every commit,
     so any crash point must recover to a committed state.  Sweep it
-    with every victim: {!Primary} (recovery gets the surviving target
-    as a restore source and must reject torn slots), a {!Mirror}, and
-    {!Ckpt_target} (all commits must still land). *)
+    with every victim: {!Primary} (recovery runs on the surviving
+    target's node, adopting its slot in place, and must reject torn
+    slots), a {!Mirror}, and {!Ckpt_target} (all commits must still
+    land). *)
 
 val recovery_scenario : ?mirrors:int -> ?seg_size:int -> unit -> scenario
 (** A checkpointed database with a real tail: three multi-chunk tables

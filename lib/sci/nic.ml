@@ -315,14 +315,6 @@ let settle (t : t) ~clock plan =
     ~bytes:plan.bytes;
   if Trace.Sink.enabled t.sink then note_pieces t ~start plan
 
-let apply ?before ?(clock : Clock.t option) (t : t) plan =
-  let clock = Option.value clock ~default:t.clock in
-  match before with
-  | Some before -> walk ~before ~clock t plan
-  | None ->
-      blit_pieces t plan.pieces;
-      settle t ~clock plan
-
 let note_burst (t : t) plan =
   if plan_packets plan > 0 then begin
     t.bursts <- t.bursts + 1;
@@ -330,9 +322,14 @@ let note_burst (t : t) plan =
     Trace.Gauge.set t.g_burst_pkts (plan_packets plan)
   end
 
-let run ?before ?clock (t : t) plan =
+let run ?before ?(clock : Clock.t option) (t : t) plan =
+  let clock = Option.value clock ~default:t.clock in
   note_burst t plan;
-  apply ?before ?clock t plan
+  match before with
+  | Some before -> walk ~before ~clock t plan
+  | None ->
+      blit_pieces t plan.pieces;
+      settle t ~clock plan
 
 (* Without a hook the copies go back to back, ahead of the accounting:
    consecutive copies that miss the host's caches then overlap in its

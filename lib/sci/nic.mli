@@ -61,8 +61,8 @@ val set_telemetry : t -> Trace.Timeseries.t -> unit
     pure-observer contract as the sink:
 
     - [nic.burst_bytes] / [nic.burst_pkts] — shape of the most recent
-      burst sent by {!run} (gauge high-water marks capture the largest
-      burst between samples);
+      burst (the gauges' high-water marks hold the largest burst since
+      telemetry was attached);
     - [nic.bytes.<tag>] — cumulative payload bytes per traffic class
       ([bulk], [data], ...), updated as the bytes land;
     - [netram.rpc_ops] — control round trips, bumped via {!note_rpc};
@@ -160,9 +160,10 @@ val plan_bytes : plan -> int
 (** Bytes the plan moves (may exceed the requested [len] when the copy
     was widened to 64-byte alignment). *)
 
-val apply : ?before:(unit -> unit) -> ?clock:Clock.t -> t -> plan -> unit
-(** Move the plan's bytes, charge its latency and count its packets.
-    The latency goes to [clock] (default: the NIC's own), so a caller
+val run : ?before:(unit -> unit) -> ?clock:Clock.t -> t -> plan -> unit
+(** Move the plan's bytes, charge its latency, count its packets and
+    count it as one burst (a plan with no packets is no burst).  The
+    latency goes to [clock] (default: the NIC's own), so a caller
     modelling transfers that run side by side can give each stream a
     clock of its own and settle the slowest.
     With [before], the plan is walked packet by packet: [before ()]
@@ -170,12 +171,7 @@ val apply : ?before:(unit -> unit) -> ?clock:Clock.t -> t -> plan -> unit
     leaving exactly the earlier packets landed, charged and counted.
     Otherwise each piece is one copy and the clock advances once by
     {!plan_latency}.  Both ways end with the same bytes, clock and
-    counters, and emit the same piece instants (see {!set_sink}).
-    [apply] does not count a burst. *)
-
-val run : ?before:(unit -> unit) -> ?clock:Clock.t -> t -> plan -> unit
-(** [apply], counted as one burst: the [bursts] counter and the
-    [nic.burst_*] gauges see {!run} calls only. *)
+    counters, and emit the same piece instants (see {!set_sink}). *)
 
 val run_all : ?before:(unit -> unit) -> t -> (Clock.t * plan) list -> unit
 (** {!run} each plan on its clock, in order.  Without [before] every

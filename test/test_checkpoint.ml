@@ -8,7 +8,6 @@ open Sim
 module P = Perseas
 module Ckpt = Perseas.Checkpoint
 module Crashpoint = Harness.Crashpoint
-module Device = Disk.Device
 
 let check = Alcotest.check
 let check_int = check Alcotest.int
@@ -302,6 +301,28 @@ let test_recruit_after_overflow_is_incremental () =
   check_int "copies the union of the ranges dirtied since" (192 + 128) r.P.bytes_copied;
   check Alcotest.(list (pair string int)) "mirrors clean" [] (P.verify_mirrors b.t)
 
+(* An ex-mirror whose node rebooted lost its exports: its recruit falls
+   back to a full copy through the same attach path, and the copy is
+   scrubbed of an open transaction's uncommitted bytes. *)
+let test_rebooted_retiree_full_resync () =
+  let b = with_db ~k:2 () in
+  ignore (Cluster.crash_node b.cluster 2 Cluster.Failure.Software_error);
+  commit_fill b "x" ~off:64 'a';
+  check_int "loss noticed" 1 (P.mirror_count b.t);
+  check_int "the leaver is remembered" 1 (P.retired_count b.t);
+  Cluster.restart_node b.cluster 2;
+  let s = seg b "y" in
+  let txn = P.begin_transaction b.t in
+  P.set_range txn s ~off:1024 ~len:128;
+  P.write b.t s ~off:1024 (Bytes.make 128 '!');
+  let r = P.recruit_mirror b.t ~server:(Netram.Server.create (Cluster.node b.cluster 2)) in
+  check_bool "rebooted retiree falls back to a full copy" true (r.P.mode = P.Full);
+  check_int "whole database copied" r.P.full_bytes r.P.bytes_copied;
+  check_int "factor restored" 2 (P.mirror_count b.t);
+  P.abort txn;
+  check Alcotest.(list (pair string int)) "joiner holds committed bytes only" []
+    (P.verify_mirrors b.t)
+
 let test_overflow_reships_whole_images () =
   let b = with_db () in
   Ckpt.set_ram_target b.t ~server:b.ckpt_server;
@@ -321,44 +342,6 @@ let test_overflow_reships_whole_images () =
   check
     Alcotest.(list (pair string int64))
     "checkpoint recovery restores the committed image" committed (signature t2)
-
-(* ------------------------------------------------------------------ *)
-(* Disk target                                                          *)
-
-let test_disk_checkpoint () =
-  let b = with_db () in
-  let device =
-    Device.create ~clock:b.clock
-      ~backend:(Device.Rio { Device.default_rio with Device.ups = true })
-      ~capacity:(1024 * 1024)
-  in
-  Ckpt.set_disk_target b.t ~device;
-  commit_fill b "x" ~off:64 'a';
-  commit_fill b "y" ~off:64 'b';
-  ignore (Ckpt.take b.t);
-  commit_fill b "x" ~off:1024 'c' (* x is newer than the cut, y is not *);
-  let committed = signature b.t in
-  ignore (Cluster.crash_node b.cluster 0 Cluster.Failure.Software_error);
-  let t2 =
-    P.recover_replicated ~config:(P.config b.t) ~checkpoint:(P.Disk_source device)
-      ~cluster:b.cluster ~local:b.spare ~servers:b.servers ()
-  in
-  check
-    Alcotest.(list (pair string int64))
-    "disk slot + mirror tail agree" committed (signature t2);
-  check Alcotest.(list (pair string int)) "mirrors clean" [] (P.verify_mirrors t2)
-
-let test_disk_too_small () =
-  let b = with_db () in
-  let device =
-    Device.create ~clock:b.clock
-      ~backend:(Device.Rio { Device.default_rio with Device.ups = true })
-      ~capacity:512
-  in
-  check_bool "rejects an undersized device" true
-    (match Ckpt.set_disk_target b.t ~device with
-    | () -> false
-    | exception Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
 (* Background checkpointer                                              *)
@@ -468,13 +451,13 @@ let test_adopts_all_but_one_chunk () =
   check
     Alcotest.(list (pair string int64))
     "adopted image equals the committed one" committed (signature t2);
-  (* The metadata, one 4 KiB block of the dirty-chunk list, the one
-     4 KiB undo fetch the repair scan walks, and the single chunk
-     written after the cut: every other chunk is adopted where it
-     lies. *)
+  (* The mirror's metadata header (the candidate probe), its metadata,
+     one 4 KiB block of the dirty-chunk list, the one 4 KiB undo fetch
+     the repair scan walks, and the single chunk written after the cut:
+     every other chunk is adopted where it lies. *)
   let meta = P.Layout.meta_size ~max_segments:(P.config b.t).P.max_segments in
-  check_int "bytes read: meta + list block + undo prefix + one chunk"
-    (meta + 4096 + 4096 + P.Layout.chunk_bytes)
+  check_int "bytes read: probe + meta + list block + undo prefix + one chunk"
+    (P.Layout.meta_header_size + meta + 4096 + 4096 + P.Layout.chunk_bytes)
     ((Sci.Nic.counters nic).Sci.Nic.bytes_read - read0);
   check Alcotest.(list (pair string int)) "mirrors clean" [] (P.verify_mirrors t2)
 
@@ -554,8 +537,8 @@ let test_full_list_adopts_nothing () =
 
 (* Observers never change a recovery: a counting hook and a trace sink
    walk every plan packet by packet, yet bytes, clock and NIC counters
-   end where the bulk path ends — across a remote slot and two fetch
-   streams. *)
+   end where the bulk path ends — across an in-place adoption whose
+   chunk reads are dealt to two fetch streams. *)
 let test_observed_recovery_agrees () =
   let recovery observe =
     let b = with_db () in
@@ -575,14 +558,41 @@ let test_observed_recovery_agrees () =
     in
     let t2 =
       P.recover_replicated ~config:(P.config b.t) ?hook ?sink
-        ~checkpoint:(P.Ram_source b.ckpt_server) ~helpers:[ b.ckpt_node ] ~cluster:b.cluster
-        ~local:b.spare ~servers:b.servers ()
+        ~checkpoint:(P.Ram_source b.ckpt_server) ~helpers:[ b.spare ] ~cluster:b.cluster
+        ~local:b.ckpt_node ~servers:b.servers ()
     in
     (signature t2, Clock.now b.clock - t0, Sci.Nic.counters nic)
   in
   let bare = recovery `Bare in
   check_bool "hooked recovery agrees" true (recovery `Hook = bare);
   check_bool "observed recovery agrees" true (recovery `Sink = bare)
+
+(* A slot is adopted only where it lies: recovering on any other node,
+   the checkpoint changes nothing — the same bytes read, in the same
+   virtual time, as the same recovery without it. *)
+let test_slot_elsewhere_changes_nothing () =
+  let recovery checkpoint =
+    let b = with_db () in
+    Ckpt.set_ram_target b.t ~server:b.ckpt_server;
+    ignore (Ckpt.take b.t);
+    commit_fill b "x" ~off:1024 'r';
+    let committed = signature b.t in
+    ignore (Cluster.crash_node b.cluster 0 Cluster.Failure.Software_error);
+    let nic = Cluster.nic b.cluster in
+    Sci.Nic.reset_counters nic;
+    let t0 = Clock.now b.clock in
+    let t2 =
+      P.recover_replicated ~config:(P.config b.t)
+        ?checkpoint:(if checkpoint then Some (P.Ram_source b.ckpt_server) else None)
+        ~cluster:b.cluster ~local:b.spare ~servers:b.servers ()
+    in
+    check Alcotest.(list (pair string int64)) "committed image" committed (signature t2);
+    ((Sci.Nic.counters nic).Sci.Nic.bytes_read, Time.to_ns (Clock.now b.clock - t0))
+  in
+  let bytes, ns = recovery false in
+  let bytes', ns' = recovery true in
+  check_int "same bytes read" bytes bytes';
+  check_int "same virtual time (ns)" ns ns'
 
 (* Overwrite the epoch of entry [pos] in [server]'s dirty-chunk list. *)
 let forge_entry_epoch server ~pos v =
@@ -784,8 +794,7 @@ let suite =
     ("dirty-log overflow forces a full recruit", `Quick, test_overflow_forces_full_recruit);
     ("recruit after the overflow floor is incremental", `Quick, test_recruit_after_overflow_is_incremental);
     ("dirty-log overflow re-ships whole images", `Quick, test_overflow_reships_whole_images);
-    ("disk checkpoint restores", `Quick, test_disk_checkpoint);
-    ("undersized disk target rejected", `Quick, test_disk_too_small);
+    ("a rebooted retiree resyncs in full", `Quick, test_rebooted_retiree_full_resync);
     ("background checkpointer", `Quick, test_auto_checkpoints);
     ("churn heals across truncations", `Slow, test_churn_with_checkpoints);
     ("helper nodes shorten recovery", `Quick, test_helpers_cut_recovery_time);
@@ -798,6 +807,7 @@ let suite =
     ("a full list adopts nothing", `Quick, test_full_list_adopts_nothing);
     ("a stale entry restores stale bytes", `Quick, test_stale_entry_restores_stale_bytes);
     ("hooked, observed and bare recoveries agree", `Quick, test_observed_recovery_agrees);
+    ("a slot on another node changes nothing", `Quick, test_slot_elsewhere_changes_nothing);
     ("a second recovery ignores unmaintained entries", `Quick,
       test_second_recovery_ignores_unmaintained_entries);
     ("crash sweep: primary victim", `Slow, test_sweep_primary);

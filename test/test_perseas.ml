@@ -252,6 +252,18 @@ let test_epoch_write_is_single_packet () =
   check_int "2 packets" 2 (P.commit_packets txn);
   P.commit txn
 
+(* Every engine plan is one NIC burst: a one-range eager commit at one
+   mirror sends three — the undo record, the data, the fence. *)
+let test_eager_commit_counts_three_bursts () =
+  let b, seg = with_db () in
+  let nic = Cluster.nic b.cluster in
+  Sci.Nic.reset_counters nic;
+  let txn = P.begin_transaction b.t in
+  P.set_range txn seg ~off:0 ~len:64;
+  P.write b.t seg ~off:0 (Bytes.make 64 'b');
+  P.commit txn;
+  check_int "undo + data + fence" 3 (Sci.Nic.counters nic).Sci.Nic.bursts
+
 (* ------------------------------------------------------------------ *)
 (* Recovery *)
 
@@ -628,6 +640,7 @@ let suite =
     ("u32/u64 helpers", `Quick, test_helpers_roundtrip);
     ("statistics accounting", `Quick, test_stats_accounting);
     ("commit point is a single packet", `Quick, test_epoch_write_is_single_packet);
+    ("an eager commit counts three bursts", `Quick, test_eager_commit_counts_three_bursts);
     ("recover after clean commit", `Quick, test_recover_after_clean_commit);
     ("recover multiple segments", `Quick, test_recover_multiple_segments);
     ("bulk copies allocate flat in database size", `Quick, test_bulk_copies_allocate_flat);

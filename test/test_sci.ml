@@ -249,7 +249,7 @@ let test_nic_step_by_step_partial () =
   check_int "4 packets" 4 (Sci.Nic.plan_packets plan);
   (* Cut before the third packet: exactly 128 bytes must have landed. *)
   let sent = ref 0 in
-  (try Sci.Nic.apply nic plan ~before:(fun () -> if !sent = 2 then raise Cut else incr sent)
+  (try Sci.Nic.run nic plan ~before:(fun () -> if !sent = 2 then raise Cut else incr sent)
    with Cut -> ());
   check Alcotest.string "first 128 landed" (String.make 128 'x')
     (Bytes.to_string (Mem.Image.read_bytes dst ~off:0 ~len:128));
@@ -479,9 +479,9 @@ let apply_shape ~params ~hops ~observe shape =
     Sci.Nic.set_ctx nic [ ("op", "prop") ]
   end;
   (match observe with
-  | `Bulk | `Sink -> Sci.Nic.apply nic plan
+  | `Bulk | `Sink -> Sci.Nic.run nic plan
   | `Hook cut -> (
-      try Sci.Nic.apply nic plan ~before:(fun () -> if !hooks = cut then raise Cut else incr hooks)
+      try Sci.Nic.run nic plan ~before:(fun () -> if !hooks = cut then raise Cut else incr hooks)
       with Cut -> ()));
   (* A sample mirrors the streamed-packet counter and the per-tag byte
      gauges into the timeseries. *)
