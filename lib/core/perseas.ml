@@ -310,35 +310,50 @@ let set_replication_target t n =
 
 let replication_target t = t.repl_target
 
+let stats t = { t.st with degraded_us = Time.to_ns (degraded_total t) / 1000 }
+
+let stats_fields (s : stats) =
+  [
+    ("begun", s.begun);
+    ("committed", s.committed);
+    ("aborts", s.aborts);
+    ("set_ranges", s.set_ranges);
+    ("undo_bytes_logged", s.undo_bytes_logged);
+    ("elided_undo_bytes", s.elided_undo_bytes);
+    ("undo_hwm_bytes", s.undo_hwm_bytes);
+    ("coalesced_ranges", s.coalesced_ranges);
+    ("commit_bytes_saved", s.commit_bytes_saved);
+    ("local_copy_bytes", s.local_copy_bytes);
+    ("mirrors_lost", s.mirrors_lost);
+    ("mirrors_recruited", s.mirrors_recruited);
+    ("resync_bytes", s.resync_bytes);
+    ("degraded_us", s.degraded_us);
+    ("conflicts", s.conflicts);
+    ("group_flushes", s.group_flushes);
+    ("group_commit_txns", s.group_commit_txns);
+    ("checkpoints_taken", s.checkpoints_taken);
+    ("checkpoint_bytes", s.checkpoint_bytes);
+    ("log_truncated_bytes", s.log_truncated_bytes);
+  ]
+
 (* Like set_sink, one call wires the whole stack: the cluster NIC's
-   packet/burst gauges plus this module's sample-time probe.  Gauges
-   observe; they never advance the clock or touch the packet stream. *)
+   packet gauges plus this module's sample-time probe, which publishes
+   every {!stats_fields} counter and the state the counters do not
+   hold.  Gauges observe; they never advance the clock or touch the
+   packet stream. *)
 let set_telemetry t tel =
   t.tel <- tel;
   Sci.Nic.set_telemetry (Cluster.nic t.cluster) tel;
   t.g_undo_tail <- Trace.Timeseries.gauge tel "perseas.undo_tail";
   t.g_group_size <- Trace.Timeseries.gauge tel "perseas.group_commit_size";
   Trace.Timeseries.on_sample tel (fun _at ->
+      List.iter (fun (k, v) -> Trace.Timeseries.set tel ("perseas." ^ k) v) (stats_fields (stats t));
       Trace.Timeseries.set tel "perseas.epoch" (Int64.to_int t.epoch);
       Trace.Timeseries.set tel "perseas.live_mirrors" (mirror_count t);
       Trace.Timeseries.set tel "perseas.open_txns" (List.length t.open_txns);
       Trace.Timeseries.set tel "perseas.staged_txns" (List.length t.staged);
-      Trace.Timeseries.set tel "perseas.conflicts" t.st.conflicts;
-      Trace.Timeseries.set tel "perseas.group_flushes" t.st.group_flushes;
       Trace.Timeseries.set tel "perseas.dirty_log" (Queue.length t.dirty);
-      Trace.Timeseries.set tel "perseas.undo_hwm_bytes" t.st.undo_hwm_bytes;
-      Trace.Timeseries.set tel "perseas.checkpoints_taken" t.st.checkpoints_taken;
-      Trace.Timeseries.set tel "perseas.checkpoint_bytes" t.st.checkpoint_bytes;
-      Trace.Timeseries.set tel "perseas.log_truncated_bytes" t.st.log_truncated_bytes;
-      Trace.Timeseries.set tel "perseas.retired_entries" (Hashtbl.length t.retired);
-      Trace.Timeseries.set tel "perseas.elided_undo_bytes" t.st.elided_undo_bytes;
-      Trace.Timeseries.set tel "perseas.coalesced_ranges" t.st.coalesced_ranges;
-      Trace.Timeseries.set tel "perseas.commit_bytes_saved" t.st.commit_bytes_saved;
-      Trace.Timeseries.set tel "perseas.committed" t.st.committed;
-      Trace.Timeseries.set tel "perseas.aborts" t.st.aborts;
-      Trace.Timeseries.set tel "perseas.mirrors_lost" t.st.mirrors_lost;
-      Trace.Timeseries.set tel "perseas.resync_bytes" t.st.resync_bytes;
-      Trace.Timeseries.set tel "perseas.degraded_us" (Time.to_ns (degraded_total t) / 1000))
+      Trace.Timeseries.set tel "perseas.retired_entries" (Hashtbl.length t.retired))
 
 let telemetry t = t.tel
 
@@ -1488,32 +1503,6 @@ let txn_client txn = txn.t_client
 let validate txn = match txn.state with Doomed -> check_open txn "validate" | _ -> ()
 let open_txn_count t = List.length t.open_txns
 let staged_count t = List.length t.staged
-
-let stats t = { t.st with degraded_us = Time.to_ns (degraded_total t) / 1000 }
-
-let stats_fields (s : stats) =
-  [
-    ("begun", s.begun);
-    ("committed", s.committed);
-    ("aborts", s.aborts);
-    ("set_ranges", s.set_ranges);
-    ("undo_bytes_logged", s.undo_bytes_logged);
-    ("elided_undo_bytes", s.elided_undo_bytes);
-    ("undo_hwm_bytes", s.undo_hwm_bytes);
-    ("coalesced_ranges", s.coalesced_ranges);
-    ("commit_bytes_saved", s.commit_bytes_saved);
-    ("local_copy_bytes", s.local_copy_bytes);
-    ("mirrors_lost", s.mirrors_lost);
-    ("mirrors_recruited", s.mirrors_recruited);
-    ("resync_bytes", s.resync_bytes);
-    ("degraded_us", s.degraded_us);
-    ("conflicts", s.conflicts);
-    ("group_flushes", s.group_flushes);
-    ("group_commit_txns", s.group_commit_txns);
-    ("checkpoints_taken", s.checkpoints_taken);
-    ("checkpoint_bytes", s.checkpoint_bytes);
-    ("log_truncated_bytes", s.log_truncated_bytes);
-  ]
 
 let pp_stats ppf s =
   Fmt.pf ppf "@[<v>";
@@ -2845,11 +2834,8 @@ module Shard = struct
   let db sh i = sh.members.(i).sh_db
   let replace sh ~shard d = sh.members.(shard).sh_db <- d
   let owner sh ~key = Map.owner sh.map ~key
-  let map sh = sh.map
   let phase sh = sh.phase
-  let master sh = Phase.master sh.phase
   let backlog sh = List.length sh.queue
-  let epochs sh = Array.map (fun m -> m.sh_db.epoch) sh.members
 
   (* Each shard's primary runs on its own cluster and therefore its own
      virtual clock: between fences the clocks advance independently,
@@ -3009,21 +2995,4 @@ module Shard = struct
       switches = Phase.single_master_phases sh.phase;
       phase_epoch = Phase.epoch sh.phase;
     }
-
-  (* Per-shard and cluster-level gauges, refreshed at sample time only
-     (pure observer, same contract as the engine's own telemetry). *)
-  let set_telemetry sh tel =
-    Trace.Timeseries.on_sample tel (fun _at ->
-        Trace.Timeseries.set tel "cluster.backlog" (List.length sh.queue);
-        Trace.Timeseries.set tel "cluster.phase"
-          (match Phase.kind sh.phase with Phase.Partitioned -> 0 | Phase.Single_master -> 1);
-        Trace.Timeseries.set tel "cluster.cross_committed" sh.cross_done;
-        Trace.Timeseries.set tel "cluster.switches" (Phase.single_master_phases sh.phase);
-        Array.iter
-          (fun m ->
-            let pfx = Printf.sprintf "shard%d." m.sh_id in
-            Trace.Timeseries.set tel (pfx ^ "committed") m.sh_committed;
-            Trace.Timeseries.set tel (pfx ^ "epoch") (Int64.to_int m.sh_db.epoch);
-            Trace.Timeseries.set tel (pfx ^ "live_mirrors") (mirror_count m.sh_db))
-          sh.members)
 end

@@ -630,6 +630,11 @@ val stats : t -> stats
     [mutable] only because the engine bumps its own copy in place;
     [private] keeps callers read-only. *)
 
+val stats_fields : stats -> (string * int) list
+(** Every counter as [(name, value)], in a fixed order: the one list
+    {!pp_stats}, {!stats_to_json} and {!set_telemetry}'s gauges are
+    built from. *)
+
 val pp_stats : Format.formatter -> stats -> unit
 (** One [name value] line per counter. *)
 
@@ -673,16 +678,10 @@ val set_telemetry : t -> Trace.Timeseries.t -> unit
       samples;
     - [perseas.group_commit_size] — transactions committed by the most
       recent group flush;
-    - a sample-time probe exporting [perseas.epoch],
-      [perseas.live_mirrors], [perseas.dirty_log] (dirty-range log
-      length), [perseas.undo_hwm_bytes], [perseas.elided_undo_bytes],
-      [perseas.coalesced_ranges], [perseas.commit_bytes_saved],
-      [perseas.committed], [perseas.aborts], [perseas.mirrors_lost],
-      [perseas.resync_bytes], [perseas.degraded_us],
-      [perseas.open_txns], [perseas.staged_txns], [perseas.conflicts],
-      [perseas.group_flushes], [perseas.checkpoints_taken],
-      [perseas.checkpoint_bytes], [perseas.log_truncated_bytes] and
-      [perseas.retired_entries].
+    - a sample-time probe exporting every {!stats_fields} counter as
+      [perseas.<field>], plus [perseas.epoch], [perseas.live_mirrors],
+      [perseas.open_txns], [perseas.staged_txns], [perseas.dirty_log]
+      (dirty-range log length) and [perseas.retired_entries].
 
     Defaults to {!Trace.Timeseries.noop}. *)
 
@@ -834,12 +833,8 @@ module Shard : sig
   (** Swap a recovered engine in after shard failover. *)
 
   val owner : t -> key:int -> int
-  val map : t -> Cluster.Shard_map.t
   val phase : t -> Cluster.Phase.t
-  val master : t -> int
   val backlog : t -> int
-  val epochs : t -> int64 array
-  (** Per-shard owner epochs (each shard's commit-fence epoch). *)
 
   val now : t -> Sim.Time.t
   (** Cluster time: the frontier (max) across shard clocks. *)
@@ -875,10 +870,4 @@ module Shard : sig
       ({!Cluster.Phase.due}). *)
 
   val stats : t -> shard_stats
-
-  val set_telemetry : t -> Trace.Timeseries.t -> unit
-  (** Sample-time gauges: [cluster.backlog], [cluster.phase] (0 =
-      partitioned, 1 = single-master), [cluster.cross_committed],
-      [cluster.switches], and per shard [shardN.committed],
-      [shardN.epoch], [shardN.live_mirrors]. *)
 end

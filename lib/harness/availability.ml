@@ -254,7 +254,3 @@ let simulate ?(params = default_params) ?(seed = 42) ~trials deployment =
     loss_events_per_decade = per_decade;
     trials_with_loss = float_of_int !lossy /. float_of_int trials;
   }
-
-let pp_result ppf r =
-  Format.fprintf ppf "%s: %.4f%% available, %.3f losses/decade (%d trials)" r.label
-    (100. *. r.availability) r.loss_events_per_decade r.trials

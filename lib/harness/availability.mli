@@ -66,5 +66,3 @@ type result = {
 }
 
 val simulate : ?params:params -> ?seed:int -> trials:int -> deployment -> result
-
-val pp_result : Format.formatter -> result -> unit

@@ -684,8 +684,9 @@ let checkpoint_scenario ?(mirrors = 1) ?(seg_size = 8192) () =
    a checkpoint, then commits after the cut into a few chunks — one of
    them spanning a chunk boundary — so a checkpointed recovery adopts
    most chunks from the slot and fetches the rest from the mirror, and
-   an aborted transaction whose before-image recovery replays.  Meant
-   for the {!Recovering} victims, which cut that recovery. *)
+   an aborted transaction whose before-image recovery replays.  The
+   {!Recovering} victims cut that recovery; every commit declares its
+   image, so the other victims may cut the script itself. *)
 let recovery_scenario ?(mirrors = 1) ?(seg_size = 8192) () =
   if mirrors < 1 then invalid_arg "Crashpoint.recovery_scenario: at least one mirror";
   if seg_size < 4096 then invalid_arg "Crashpoint.recovery_scenario: segment too small";
@@ -706,10 +707,14 @@ let recovery_scenario ?(mirrors = 1) ?(seg_size = 8192) () =
   in
   let script env ~checkpoint =
     put "accounts" ~off:64 ~len:128 'a' env;
-    ignore (P.Checkpoint.take env.t);
+    (* A target that dies during the take costs the checkpoint, never a
+       commit (the {!Ckpt_target} sweep). *)
+    (try ignore (P.Checkpoint.take env.t) with P.Checkpoint.Target_lost _ -> ());
     checkpoint ();
     put "accounts" ~off:1000 ~len:64 'b' env;
+    checkpoint ();
     put "branches" ~off:3072 ~len:128 'c' env;
+    checkpoint ();
     put "history" ~off:4096 ~len:200 'd' env;
     (* An aborted transaction leaves its before-image in the mirror's
        log at the current epoch: recovery's repair replays it (a no-op
@@ -843,6 +848,27 @@ let shard_fence_scenario ?(mirrors = 1) ?(seg_size = 8192) () =
     ignore (P.Shard.drain sh)
   in
   { label = Printf.sprintf "shard-fence-%dm" mirrors; make; script }
+
+(* ------------------------------------------------------------------ *)
+(* The scenarios by name                                               *)
+
+let named ?ranges ?range_len ~mirrors () =
+  let primary s = (s, [ Primary ]) in
+  [
+    ("commit", primary (commit_scenario ~mirrors ?ranges ?range_len ()));
+    ("attach", primary (attach_scenario ~mirrors ()));
+    ("overlap", primary (overlap_scenario ~mirrors ()));
+    ("overlap-naive", primary (overlap_scenario ~mirrors ~elision:false ()));
+    ("concurrent", primary (concurrent_scenario ~mirrors ()));
+    ("checkpoint", primary (checkpoint_scenario ~mirrors ()));
+    ("shard-commit", primary (shard_commit_scenario ~mirrors ()));
+    ("shard-fence", primary (shard_fence_scenario ~mirrors ()));
+    ( "recovery",
+      ( recovery_scenario ~mirrors (),
+        [ Recovering { in_place_first = true }; Recovering { in_place_first = false } ] ) );
+  ]
+
+let scenario_names = List.map fst (named ~mirrors:1 ())
 
 (* ------------------------------------------------------------------ *)
 (* CSV                                                                 *)

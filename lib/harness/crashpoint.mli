@@ -166,7 +166,10 @@ val recovery_scenario : ?mirrors:int -> ?seg_size:int -> unit -> scenario
     then three commits after the cut into a few chunks, one of them
     spanning a chunk boundary, and an aborted transaction whose
     before-image, left in the mirror's log, recovery replays.  Sweep it
-    with both {!Recovering} victims. *)
+    with both {!Recovering} victims, which cut the recovery; every
+    commit declares its image, and a target lost during the take costs
+    only the checkpoint, so {!Primary}, {!Mirror} and {!Ckpt_target}
+    sweeps of the script hold the oracle too. *)
 
 val shard_commit_scenario : ?mirrors:int -> ?seg_size:int -> unit -> scenario
 (** The single-shard commit sweep on a 2-shard {!Sharding.make_bed}
@@ -187,6 +190,19 @@ val shard_fence_scenario : ?mirrors:int -> ?seg_size:int -> unit -> scenario
     and the cross transaction's victim half is cut; recovery must land
     on pre, the post-convoy checkpoint or post (convoys and the
     drained victim half are atomic at every boundary). *)
+
+(** {1 The scenarios by name} *)
+
+val named :
+  ?ranges:int -> ?range_len:int -> mirrors:int -> unit -> (string * (scenario * victim list)) list
+(** Every canned scenario at [mirrors] mirrors under its command-line
+    name, with the victims it is swept by when none is named: both
+    {!Recovering} orders for ["recovery"], {!Primary} for the rest.
+    [ranges] and [range_len] shape ["commit"].  Raises
+    [Invalid_argument] on parameters a scenario rejects. *)
+
+val scenario_names : string list
+(** The names {!named} lists, in its order. *)
 
 (** {1 CSV} *)
 

@@ -630,14 +630,14 @@ let replication_degree () =
 (* ------------------------------------------------------------------ *)
 (* R2: availability and data-loss Monte Carlo                          *)
 
-let availability () =
-  let header =
-    [ "deployment"; "availability %"; "loss events / decade"; "trials with loss %" ]
-  in
+let availability_header =
+  [ "deployment"; "availability %"; "loss events / decade"; "trials with loss %" ]
+
+let availability_table ?(params = Availability.default_params) ~trials () =
   let rows =
     List.map
       (fun d ->
-        let r = Availability.simulate ~trials:200 d in
+        let r = Availability.simulate ~params ~trials d in
         [
           r.Availability.label;
           Printf.sprintf "%.4f" (100. *. r.availability);
@@ -648,9 +648,16 @@ let availability () =
   in
   Table.print
     ~title:
-      "Availability Monte Carlo, 10-year horizon x200 trials (section 1's reliability argument)"
-    ~header rows;
-  Table.save_csv ~path:(csv_path "availability") ~header rows
+      (Printf.sprintf
+         "Availability Monte Carlo, %g-year horizon x%d trials (section 1's reliability argument)"
+         (Time.to_s params.Availability.horizon /. (365. *. 86_400.))
+         trials)
+    ~header:availability_header rows;
+  rows
+
+let availability () =
+  Table.save_csv ~path:(csv_path "availability") ~header:availability_header
+    (availability_table ~trials:200 ())
 
 (* ------------------------------------------------------------------ *)
 (* T2: technology-trend projection (section 6)                         *)
@@ -864,32 +871,37 @@ let crash_sweep () =
 (* ------------------------------------------------------------------ *)
 (* Self-healing replication under churn                                *)
 
-let churn () =
-  let r = Churn.run () in
-  let summary =
-    Printf.sprintf
-      "committed %d txns (%.0f tps under churn), %d injections (%d pauses / %d crashes) over %d \
-       nodes, %d retries after total mirror loss; resyncs: %d incremental (%s B) vs %d full (%s \
-       B, full copy is %s B each)"
-      r.Churn.committed r.tps
-      (List.length r.injections)
-      (List.length (List.filter (fun i -> i.Churn.kind = Churn.Pause) r.injections))
-      (List.length (List.filter (fun i -> i.Churn.kind = Churn.Crash) r.injections))
-      (List.length r.nodes_hit) r.outage_retries r.incremental_resyncs
-      (Table.fmt_int r.incremental_bytes)
-      r.full_resyncs
-      (Table.fmt_int r.full_resync_bytes)
-      (Table.fmt_int r.full_copy_bytes)
-  in
+let run_churn ?(params = Churn.default_params) () =
+  let r = Churn.run ~params () in
   Table.print
-    ~title:"Churn: debit-credit under mirror failures, supervisor healing from the spare pool"
+    ~title:
+      (Printf.sprintf
+         "Churn: debit-credit under mirror failures, %d mirrors + %d spares, mtbf %.0f us, %.0f ms \
+          horizon (seed %d)"
+         params.Churn.mirrors params.spares (Time.to_us params.mtbf) (Time.to_ms params.duration)
+         params.seed)
     ~header:Churn.csv_header (Churn.report_rows r);
-  print_endline summary;
-  Table.save_csv ~path:(csv_path "churn") ~header:Churn.csv_header (Churn.report_rows r);
+  Printf.printf
+    "committed %d txns (%.0f tps under churn), %d injections (%d pauses / %d crashes) over %d \
+     nodes, %d retries after total mirror loss; resyncs: %d incremental (%s B) vs %d full (%s B, \
+     full copy is %s B each)\n"
+    r.Churn.committed r.tps
+    (List.length r.injections)
+    (List.length (List.filter (fun i -> i.Churn.kind = Churn.Pause) r.injections))
+    (List.length (List.filter (fun i -> i.Churn.kind = Churn.Crash) r.injections))
+    (List.length r.nodes_hit) r.outage_retries r.incremental_resyncs
+    (Table.fmt_int r.incremental_bytes)
+    r.full_resyncs
+    (Table.fmt_int r.full_resync_bytes)
+    (Table.fmt_int r.full_copy_bytes);
   Churn.check r;
   print_endline
     "oracle: factor restored, mirrors scrubbed clean, no committed transaction lost after \
-     killing the primary"
+     killing the primary";
+  r
+
+let churn () =
+  Table.save_csv ~path:(csv_path "churn") ~header:Churn.csv_header (Churn.report_rows (run_churn ()))
 
 (* ------------------------------------------------------------------ *)
 (* R9: concurrent disjoint clients and group commit                     *)
@@ -1281,6 +1293,67 @@ let explain_verdict x =
   else if Trace.Tail.exemplars x.ex_tail = [] then Some "no exemplar transaction retained"
   else None
 
+(* The per-cell report: who owns the p99 (per phase and per mirror),
+   the cost model against the NIC counters, and the worst [exemplars]
+   timelines stitched across nodes. *)
+let print_explained ?(exemplars = 3) x =
+  let r = x.ex_result in
+  let p99 = r.Measure.p99_us in
+  Printf.printf "%s, %d mirror(s): %.0f tps, mean %.2f us, p99 %.2f us over %d txns\n\n" x.ex_label
+    x.ex_mirrors r.Measure.tps r.Measure.mean_us p99 r.Measure.iters;
+  Table.print ~title:"Tail attribution: per-phase latency percentiles (share = phase p99 / e2e p99)"
+    ~header:[ "phase"; "count"; "p50_us"; "p99_us"; "share" ]
+    (List.map
+       (fun (name, h, pp99, share) ->
+         [
+           name;
+           string_of_int (Stats.Histogram.count h);
+           Printf.sprintf "%.2f" (Stats.Histogram.percentile h 50.);
+           Printf.sprintf "%.2f" pp99;
+           Printf.sprintf "%.1f%%" (100. *. share);
+         ])
+       (phase_shares ~p99
+          (Trace.Tail.phases x.ex_tail
+          @ List.map
+              (fun ((name, mirror), h) -> (Printf.sprintf "  %s[m%d]" name mirror, h))
+              (Trace.Tail.mirror_phases x.ex_tail))));
+  Printf.printf "named phases attribute %.1f%% of the measured p99\n\n" (100. *. attribution x);
+  let m = x.ex_model in
+  Table.print ~title:"Analytic cost model vs NIC piece stream (settled commit units)"
+    ~header:[ "class"; "pred 64B"; "meas 64B"; "pred 16B"; "meas 16B"; "pred B"; "meas B" ]
+    (List.map
+       (fun (cls, (p : Costmodel.cost), (c : Costmodel.cost)) ->
+         cls
+         :: List.map string_of_int [ p.pkts64; c.pkts64; p.pkts16; c.pkts16; p.bytes; c.bytes ])
+       (Costmodel.classes m));
+  let pred = Costmodel.predicted_total m in
+  Printf.printf
+    "settled %d commit units: predicted %d pkts / %d B, NIC counted %d pkts / %d B, %d drift \
+     alert(s), %d unattributed pkt(s)\n"
+    (Costmodel.units_checked m) (Costmodel.cost_packets pred) pred.Costmodel.bytes
+    (x.ex_pkts64 + x.ex_pkts16) x.ex_bytes (Costmodel.drift_count m)
+    (Costmodel.cost_packets (Costmodel.unattributed m));
+  List.iter (fun a -> Printf.printf "  DRIFT %s\n" (Costmodel.describe a)) (Costmodel.alerts m);
+  let retained = Trace.Tail.exemplars x.ex_tail in
+  Printf.printf "\nworst-%d exemplar transactions (of %d retained):\n"
+    (min exemplars (List.length retained))
+    (List.length retained);
+  List.iteri
+    (fun i (e : Trace.Tail.exemplar) ->
+      if i < exemplars then begin
+        Printf.printf "-- exemplar %d: txn %s, iteration %d, %.2f us (%.1f%% phase-covered)\n"
+          (i + 1)
+          (Option.value ~default:"?" (Trace.Tail.exemplar_txn e))
+          e.Trace.Tail.e_seq e.Trace.Tail.e_latency_us
+          (100. *. exemplar_coverage e);
+        List.iter
+          (fun tl ->
+            print_string (Trace.Causal.render tl);
+            print_newline ())
+          (Trace.Tail.timelines e)
+      end)
+    retained
+
 let explain () =
   let cells =
     List.map
@@ -1311,22 +1384,9 @@ let explain () =
   Table.save_csv ~path:(csv_path "tail_attribution") ~header rows;
   List.iter
     (fun x ->
-      let m = x.ex_model in
-      let pred = Costmodel.predicted_total m in
-      Printf.printf
-        "%s x%d: cost model settled %d commit units, drift %d; predicted %d pkts / %d B vs NIC %d \
-         pkts / %d B\n"
-        x.ex_label x.ex_mirrors (Costmodel.units_checked m) (Costmodel.drift_count m)
-        (Costmodel.cost_packets pred) pred.Costmodel.bytes (x.ex_pkts64 + x.ex_pkts16) x.ex_bytes;
-      List.iter
-        (fun a -> Printf.printf "  DRIFT %s\n" (Costmodel.describe a))
-        (Costmodel.alerts m);
-      Option.iter (fun msg -> failwith ("explain: " ^ msg)) (explain_verdict x);
-      let worst = List.hd (Trace.Tail.exemplars x.ex_tail) in
-      Printf.printf "  worst exemplar: txn %s, %.2f us, %.1f%% phase-covered\n"
-        (Option.value ~default:"?" (Trace.Tail.exemplar_txn worst))
-        worst.Trace.Tail.e_latency_us
-        (100. *. exemplar_coverage worst))
+      print_newline ();
+      print_explained x;
+      Option.iter (fun msg -> failwith ("explain: " ^ msg)) (explain_verdict x))
     cells;
   print_endline
     "explain green: zero cost-model drift, all packets attributed, worst-K exemplars retained"
@@ -1345,6 +1405,42 @@ let sharding_params ?scale ~shards () =
 let sharding_cell ?mirrors ?clients ?scale ?total ~shards ~cross_per_100 () =
   Sharding.run_cell ?mirrors ?clients ~params:(sharding_params ?scale ~shards ()) ~warmup:400 ?total
     ~shards ~cross_per_100 ()
+
+let sharding_header =
+  [
+    "shards";
+    "cross/100";
+    "singles";
+    "cross";
+    "switches";
+    "conflicts";
+    "elapsed (us)";
+    "tps";
+    "speedup";
+    "pkts/txn";
+  ]
+
+let sharding_rows cells =
+  List.map
+    (fun (c : Sharding.cell) ->
+      let one_shard =
+        List.find_opt
+          (fun (b : Sharding.cell) -> b.c_shards = 1 && b.c_cross_per_100 = c.c_cross_per_100)
+          cells
+      in
+      [
+        string_of_int c.c_shards;
+        string_of_int c.c_cross_per_100;
+        string_of_int c.c_committed;
+        string_of_int c.c_cross;
+        string_of_int c.c_switches;
+        string_of_int c.c_conflicts;
+        Printf.sprintf "%.0f" c.c_elapsed_us;
+        Table.fmt_tps c.c_tps;
+        (match one_shard with Some b -> Table.fmt_ratio (c.c_tps /. b.c_tps) | None -> "-");
+        Printf.sprintf "%.1f" c.c_pkts_per_txn;
+      ])
+    cells
 
 let sharding () =
   (* Aggregate debit-credit throughput vs shard count at a fixed mirror
@@ -1374,41 +1470,11 @@ let sharding () =
     | Some c -> c.Sharding.c_tps
     | None -> failwith "sharding: missing cell"
   in
-  let header =
-    [
-      "shards";
-      "cross/100";
-      "singles";
-      "cross";
-      "switches";
-      "conflicts";
-      "elapsed (us)";
-      "tps";
-      "speedup";
-      "pkts/txn";
-    ]
-  in
-  let rows =
-    List.map
-      (fun (c : Sharding.cell) ->
-        [
-          string_of_int c.Sharding.c_shards;
-          string_of_int c.Sharding.c_cross_per_100;
-          string_of_int c.Sharding.c_committed;
-          string_of_int c.Sharding.c_cross;
-          string_of_int c.Sharding.c_switches;
-          string_of_int c.Sharding.c_conflicts;
-          Printf.sprintf "%.0f" c.Sharding.c_elapsed_us;
-          Table.fmt_tps c.Sharding.c_tps;
-          Table.fmt_ratio (c.Sharding.c_tps /. tps_at ~shards:1 ~cross:c.Sharding.c_cross_per_100);
-          Printf.sprintf "%.1f" c.Sharding.c_pkts_per_txn;
-        ])
-      cells
-  in
+  let rows = sharding_rows cells in
   Table.print
-    ~title:"Sharding: aggregate debit-credit tps vs shard count (1 mirror/shard, Zipf 0.8)" ~header
-    rows;
-  Table.save_csv ~path:(csv_path "sharding") ~header rows;
+    ~title:"Sharding: aggregate debit-credit tps vs shard count (1 mirror/shard, Zipf 0.8)"
+    ~header:sharding_header rows;
+  Table.save_csv ~path:(csv_path "sharding") ~header:sharding_header rows;
   (* The scale-out acceptance bar: with no cross-shard traffic, four
      primaries must buy at least 3x one primary at equal mirror
      factor. *)

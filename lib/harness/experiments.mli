@@ -50,16 +50,10 @@ val timeline : latency_mix -> unit
 
 (** {1 R12: tail attribution} *)
 
-type explained = {
-  ex_label : string;
-  ex_mirrors : int;
-  ex_result : Measure.result;
-  ex_tail : Trace.Tail.t;
-  ex_model : Costmodel.t;
-  ex_pkts64 : int;  (** NIC 64-byte packet delta over the whole traced window. *)
-  ex_pkts16 : int;
-  ex_bytes : int;  (** NIC bytes written over the window. *)
-}
+type explained
+(** One fully-instrumented cell: its measured result, the {!Trace.Tail}
+    and {!Costmodel} that rode along, and the NIC counter deltas over
+    the traced window. *)
 
 val explain_run :
   ?config:Perseas.config ->
@@ -74,25 +68,44 @@ val explain_run :
     engine's span stream, NIC counters reset at attach time so the
     model's settled totals are comparable to the hardware deltas. *)
 
-val phase_shares :
-  p99:float ->
-  ('a * Sim.Stats.Histogram.t) list ->
-  ('a * Sim.Stats.Histogram.t * float * float) list
-(** [(phase, histogram, phase p99, phase p99 / p99)] for every phase
-    histogram that saw a sample. *)
-
-val attribution : explained -> float
-(** Sum of the named phases' p99s over the measured p99. *)
+val print_explained : ?exemplars:int -> explained -> unit
+(** The per-cell report the [explain] experiment and [perseas_cli
+    explain] both print: per-phase and per-mirror latency percentiles
+    with each phase's share of the p99, the cost model's predicted
+    packets and bytes per class against the NIC's, and the worst
+    [exemplars] (default 3) transactions' cross-node timelines. *)
 
 val explain_verdict : explained -> string option
 (** The R12 gates: zero cost-model drift, no unfenced or unattributed
     commit units, settled predictions equal to the NIC counter delta,
-    {!attribution} of at least 0.95, and a retained exemplar.  [None]
-    when all hold, else the first that failed. *)
+    named phases attributing at least 95 % of the measured p99 (the sum
+    of their p99s over it), and a retained exemplar.  [None] when all
+    hold, else the first that failed. *)
 
 val exemplar_coverage : Trace.Tail.exemplar -> float
 (** Fraction of the exemplar's end-to-end latency covered by named
     [txn] phase spans (1.0 = fully attributed). *)
+
+(** {1 Reports shared with the CLI} *)
+
+val run_churn : ?params:Churn.params -> unit -> Churn.report
+(** One {!Churn.run} (default {!Churn.default_params}), printed: the
+    degraded-window table, a summary line and the oracle's verdict.
+    Raises {!Churn.Oracle_violation} when {!Churn.check} fails.  Writes
+    no file: only the [churn] experiment saves [results/churn.csv]. *)
+
+val availability_table : ?params:Availability.params -> trials:int -> unit -> string list list
+(** Simulate every {!Availability.standard_deployments} entry for
+    [trials] trials under [params] (default
+    {!Availability.default_params}), print the table and return its
+    rows. *)
+
+val sharding_header : string list
+
+val sharding_rows : Sharding.cell list -> string list list
+(** One row per cell under {!sharding_header}; the speedup column is
+    the cell's tps over that of the same cross-shard mix's 1-shard cell
+    in the list, ["-"] when there is none. *)
 
 (** {1 Cells shared with the bench gate and the CLI} *)
 

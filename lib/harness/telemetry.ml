@@ -165,11 +165,11 @@ let top ?tail (r : Churn.report) tel =
     stats.Perseas.mirrors_lost r.incremental_resyncs r.full_resyncs
     (Table.fmt_int (r.incremental_bytes + r.full_resync_bytes))
     (Table.fmt_int r.full_copy_bytes);
-  line "  network       %s pkts (%s B), %s rpcs   burst hwm %d B / %d pkts"
+  line "  network       %s pkts (%s B) in %s bursts, %s rpcs"
     (Table.fmt_int (v "nic.pkts"))
     (Table.fmt_int (v "nic.bytes"))
-    (Table.fmt_int (v "netram.rpc_ops"))
-    (Ts.hwm tel "nic.burst_bytes") (Ts.hwm tel "nic.burst_pkts");
+    (Table.fmt_int (v "nic.bursts"))
+    (Table.fmt_int (v "netram.rpc_ops"));
   (* Live per-phase tail, when a Trace.Tail rode along on the span
      stream: where the p99 microseconds of a transaction go. *)
   Option.iter

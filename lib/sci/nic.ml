@@ -21,8 +21,6 @@ type t = {
   mutable tel : Trace.Timeseries.t;
       (* Same contract as the sink: gauges observe the transfer
          machinery, never steer it. *)
-  mutable g_burst_bytes : Trace.Gauge.t;
-  mutable g_burst_pkts : Trace.Gauge.t;
   mutable g_rpc_ops : Trace.Gauge.t;
   tag_gauges : (string, Trace.Gauge.t) Hashtbl.t;
 }
@@ -39,7 +37,6 @@ let create ?(params = Params.default) clock =
   (match Params.validate params with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Nic.create: invalid params: " ^ msg));
-  let inert = Trace.Timeseries.gauge Trace.Timeseries.noop "" in
   {
     params;
     clock;
@@ -52,9 +49,7 @@ let create ?(params = Params.default) clock =
     sink = Trace.Sink.noop;
     ctx = [];
     tel = Trace.Timeseries.noop;
-    g_burst_bytes = inert;
-    g_burst_pkts = inert;
-    g_rpc_ops = inert;
+    g_rpc_ops = Trace.Timeseries.gauge Trace.Timeseries.noop "";
     tag_gauges = Hashtbl.create 8;
   }
 
@@ -67,8 +62,6 @@ let ctx (t : t) = t.ctx
 
 let set_telemetry (t : t) tel =
   t.tel <- tel;
-  t.g_burst_bytes <- Trace.Timeseries.gauge tel "nic.burst_bytes";
-  t.g_burst_pkts <- Trace.Timeseries.gauge tel "nic.burst_pkts";
   t.g_rpc_ops <- Trace.Timeseries.gauge tel "netram.rpc_ops";
   Hashtbl.reset t.tag_gauges;
   (* Cumulative counters are mirrored into gauges lazily, at sample
@@ -315,12 +308,7 @@ let settle (t : t) ~clock plan =
     ~bytes:plan.bytes;
   if Trace.Sink.enabled t.sink then note_pieces t ~start plan
 
-let note_burst (t : t) plan =
-  if plan_packets plan > 0 then begin
-    t.bursts <- t.bursts + 1;
-    Trace.Gauge.set t.g_burst_bytes plan.bytes;
-    Trace.Gauge.set t.g_burst_pkts (plan_packets plan)
-  end
+let note_burst (t : t) plan = if plan_packets plan > 0 then t.bursts <- t.bursts + 1
 
 let run ?before ?(clock : Clock.t option) (t : t) plan =
   let clock = Option.value clock ~default:t.clock in

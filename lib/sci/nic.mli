@@ -60,9 +60,6 @@ val set_telemetry : t -> Trace.Timeseries.t -> unit
 (** Attach a gauge timeseries.  The NIC then maintains, with the same
     pure-observer contract as the sink:
 
-    - [nic.burst_bytes] / [nic.burst_pkts] — shape of the most recent
-      burst (the gauges' high-water marks hold the largest burst since
-      telemetry was attached);
     - [nic.bytes.<tag>] — cumulative payload bytes per traffic class
       ([bulk], [data], ...), updated as the bytes land;
     - [netram.rpc_ops] — control round trips, bumped via {!note_rpc};

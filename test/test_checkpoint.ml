@@ -776,6 +776,20 @@ let recovery_sweep_ok ~in_place_first =
 let test_sweep_recovering_in_place_first () = recovery_sweep_ok ~in_place_first:true
 let test_sweep_recovering_spare_first () = recovery_sweep_ok ~in_place_first:false
 
+(* The recovery scenario's script cut by the other victims: every
+   commit declares its image and a target lost mid-take costs only the
+   checkpoint, so a primary, mirror or target death at any packet
+   recovers to a legal image at two mirrors. *)
+let test_sweep_recovery_script_every_victim () =
+  List.iter
+    (fun victim ->
+      let r = Crashpoint.sweep ~victim (Crashpoint.recovery_scenario ~mirrors:2 ()) in
+      check_int
+        (Crashpoint.victim_label victim ^ ": one point per packet boundary")
+        (r.Crashpoint.total_packets + 1)
+        (List.length r.Crashpoint.points))
+    [ Crashpoint.Primary; Crashpoint.Mirror 0; Crashpoint.Ckpt_target ]
+
 let test_sweep_primary () = sweep_ok Crashpoint.Primary
 let test_sweep_mirror () = sweep_ok (Crashpoint.Mirror 0)
 let test_sweep_ckpt_target () = sweep_ok Crashpoint.Ckpt_target
@@ -815,5 +829,6 @@ let suite =
     ("crash sweep: checkpoint-target victim", `Slow, test_sweep_ckpt_target);
     ("crash sweep: recovering node, target's node first", `Slow, test_sweep_recovering_in_place_first);
     ("crash sweep: recovering node, spare first", `Slow, test_sweep_recovering_spare_first);
+    ("crash sweep: recovery script, every other victim", `Slow, test_sweep_recovery_script_every_victim);
     QCheck_alcotest.to_alcotest prop_ckpt_recovery_differential;
   ]

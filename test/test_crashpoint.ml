@@ -74,8 +74,24 @@ let test_mirror_victim_total_loss () =
     (r.old_images + r.new_images);
   check_bool (r.label ^ ": total loss rolls back") true (r.old_images > 0)
 
+(* The registry the CLI takes its scenario names from: nine names in
+   list order, recovery swept by both recovering orders by default and
+   every other scenario by its primary. *)
+let test_named_registry () =
+  let named = C.named ~mirrors:1 () in
+  check (Alcotest.list Alcotest.string) "names" C.scenario_names (List.map fst named);
+  check_int "nine scenarios" 9 (List.length named);
+  List.iter
+    (fun (name, (_, victims)) ->
+      check (Alcotest.list Alcotest.string) (name ^ ": default victims")
+        (if name = "recovery" then [ "recovering-target-first"; "recovering-spare-first" ]
+         else [ "primary" ])
+        (List.map C.victim_label victims))
+    named
+
 let suite =
   [
+    ("named registry and default victims", `Quick, test_named_registry);
     ("commit sweep, one mirror", `Slow, test_commit_one_mirror);
     ("commit sweep, two mirrors", `Slow, test_commit_two_mirrors);
     ("commit sweep, three mirrors", `Slow, test_commit_three_mirrors);

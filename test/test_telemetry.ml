@@ -251,6 +251,31 @@ let test_engine_stats () =
   check_bool "open window counts up" true (d1 >= d0 + 500);
   check_int "target unchanged" 2 (P.replication_target t)
 
+(* Every engine counter is a gauge under its own name: one sample after
+   a commit and an abort, and each [stats_fields] entry reads back as
+   [perseas.<name>] with the counter's value. *)
+let test_stats_gauges () =
+  let clock, _, t = mini_bed () in
+  let tel = Ts.create () in
+  P.set_telemetry t tel;
+  let seg = P.malloc t ~name:"seg" ~size:4096 in
+  P.init_remote_db t;
+  let txn = P.begin_transaction t in
+  P.set_range txn seg ~off:0 ~len:256;
+  P.write t seg ~off:0 (Bytes.make 256 'x');
+  P.commit txn;
+  let txn = P.begin_transaction t in
+  P.set_range txn seg ~off:512 ~len:64;
+  P.abort txn;
+  Ts.sample tel ~at:(Clock.now clock);
+  let names = Ts.names tel in
+  List.iter
+    (fun (name, v) ->
+      let g = "perseas." ^ name in
+      check_bool (g ^ " published") true (List.mem g names);
+      check_int g v (Ts.value tel g))
+    (P.stats_fields (P.stats t))
+
 (* ------------------------------------------------------------------ *)
 (* Churn telemetry: determinism, invariance, agreement                 *)
 
@@ -406,6 +431,7 @@ let suite =
     Alcotest.test_case "emitted JSON parses (odd names included)" `Quick test_emitted_json_parses;
     Alcotest.test_case "chrome export grows counter tracks" `Quick test_chrome_counter_tracks;
     Alcotest.test_case "stats: aborts, undo hwm, degraded time" `Quick test_engine_stats;
+    Alcotest.test_case "every stats field is a perseas.<name> gauge" `Quick test_stats_gauges;
     Alcotest.test_case "churn series deterministic per seed" `Quick test_churn_csv_deterministic;
     Alcotest.test_case "telemetry off = byte-identical run" `Quick test_telemetry_off_invariance;
     Alcotest.test_case "degraded windows agree with supervisor log" `Quick test_degraded_agreement;
