@@ -75,13 +75,15 @@ let uncovered t ~off ~len =
 let intervals t = M.fold (fun lo hi acc -> (lo, hi - lo) :: acc) t [] |> List.rev
 let total t = M.fold (fun lo hi acc -> acc + (hi - lo)) t 0
 
+let touch ~align hi o = (hi + align - 1) / align * align >= o / align * align
+
 let glue t ~align =
   if align <= 0 then invalid_arg "Iset.glue: align must be positive";
   (* Two runs whose [align]-byte line spans touch would share packets
      anyway: ship their exact hull as one run.  Runs in disjoint line
      spans keep their exact extents, and a set with no such pair is
      its own glue. *)
-  let touch hi o = (hi + align - 1) / align * align >= o / align * align in
+  let touch = touch ~align in
   let rec glues = function
     | (o, l) :: ((o', _) :: _ as rest) -> touch (o + l) o' || glues rest
     | _ -> false
@@ -96,21 +98,6 @@ let glue t ~align =
       in
       go empty off0 (off0 + len0) rest
   | _ -> t
-
-let intersects a b =
-  (* Walk the smaller set, probing the larger with predecessor/successor
-     lookups — O(min cardinal · log max cardinal). *)
-  let small, large = if M.cardinal a <= M.cardinal b then (a, b) else (b, a) in
-  M.exists
-    (fun lo hi ->
-      (match M.find_last_opt (fun k -> k <= lo) large with
-      | Some (_, e) -> e > lo
-      | None -> false)
-      ||
-      match M.find_first_opt (fun k -> k > lo) large with
-      | Some (k, _) -> k < hi
-      | None -> false)
-    small
 
 let union a b =
   let small, large = if M.cardinal a <= M.cardinal b then (a, b) else (b, a) in

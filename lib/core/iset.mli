@@ -45,29 +45,25 @@ val intervals : t -> (int * int) list
 (** All intervals as ascending [(off, len)] pairs — already coalesced
     into maximal contiguous runs. *)
 
+val touch : align:int -> int -> int -> bool
+(** [touch ~align hi o]: whether a run ending at [hi] (exclusive) and
+    a later one starting at [o] lie in touching or shared [align]-byte
+    line spans — when {!glue} merges them. *)
+
 val glue : t -> align:int -> t
 (** [glue t ~align] merges intervals whose [align]-byte line spans
     touch or overlap, shipping their exact hull as one run; intervals
     in disjoint line spans keep their exact extents (no boundary
-    widening).  This is how {!Perseas.commit} builds its propagation
-    list under [optimized_memcpy] with [align = 64], the SCI
-    full-packet line: runs that would share packets anyway stream as
+    widening).  With [align = 64], the SCI full-packet line, this is
+    the rule {!Perseas.commit} builds its propagation list by under
+    [optimized_memcpy]: runs that would share packets anyway stream as
     one fuller burst, while isolated small runs ship no extra bytes.
     When no two runs share a line span the result is [t] itself.
     Safe for mirrored segments because the hull's gap bytes are
     identical on both sides (see DESIGN.md). *)
 
-val intersects : t -> t -> bool
-(** Whether the two sets share at least one byte.  Walks the smaller
-    set probing the larger, so disjointness checks between a
-    transaction's declaration and its peers' write-sets cost
-    O(min intervals · log max intervals).  This is the conflict test
-    {!Perseas.set_range} runs against every other open transaction. *)
-
 val union : t -> t -> t
-(** All bytes covered by either set, coalesced.  Group commit unions
-    the batch's per-segment write-sets to build one shared propagation
-    list. *)
+(** All bytes covered by either set, coalesced. *)
 
 val equal : t -> t -> bool
 

@@ -119,13 +119,6 @@ let undo_slot ~off ~payload_len = align64 (off + undo_header_size + payload_len)
 let align32 x = (x + 31) land lnot 31
 let undo_slot_packed ~off ~payload_len = align32 (off + undo_header_size + payload_len)
 
-let fnv32 seed image off len =
-  let h = ref seed in
-  for i = off to off + len - 1 do
-    h := (!h lxor Mem.Image.read_u8 image i) * 0x01000193 land 0xFFFFFFFF
-  done;
-  !h
-
 let header_checksum_seed (h : undo_header) =
   let mix = Int64.to_int (Int64.logand h.epoch 0x3FFFFFFFL) in
   (0x811c9dc5 lxor mix lxor (h.seg_index * 131) lxor (h.off * 31) lxor (h.len * 7))
@@ -137,7 +130,7 @@ let write_undo_header image ~off h =
   Mem.Image.write_u32 image (off + 12) h.off;
   Mem.Image.write_u32 image (off + 16) h.len;
   Mem.Image.write_u32 image (off + 20)
-    (fnv32 (header_checksum_seed h) image (off + undo_header_size) h.len)
+    (Mem.Image.fnv32 image ~seed:(header_checksum_seed h) ~off:(off + undo_header_size) ~len:h.len)
 
 let encode_undo h ~payload =
   if Bytes.length payload <> h.len then invalid_arg "Layout.encode_undo: payload length mismatch";
@@ -158,5 +151,8 @@ let decode_undo_header b ~off =
 
 let verify_undo b ~off (h : undo_header) =
   let stored = Int32.to_int (Bytes.get_int32_le b (off + 20)) land 0xFFFFFFFF in
-  let crc = fnv32 (header_checksum_seed h) (Mem.Image.of_bytes b) (off + undo_header_size) h.len in
+  let crc =
+    Mem.Image.fnv32 (Mem.Image.of_bytes b) ~seed:(header_checksum_seed h)
+      ~off:(off + undo_header_size) ~len:h.len
+  in
   stored = crc

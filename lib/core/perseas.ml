@@ -7,6 +7,15 @@ module Client = Netram.Client
 module Remote_segment = Netram.Remote_segment
 module Imap = Map.Make (Int)
 
+(* Global 64-byte line numbers (a segment's [chunk0] plus the line
+   within it) to whatever a line maps to. *)
+module Lines = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash l = l
+end)
+
 let src = Logs.Src.create "perseas" ~doc:"PERSEAS transaction library"
 
 module Log = (val Logs.src_log src : Logs.LOG)
@@ -129,6 +138,12 @@ type t = {
   mutable ready : bool;
   mutable open_txns : txn list; (* newest first *)
   mutable staged : txn list; (* group-commit queue, commit order *)
+  owners : txn Lines.t;
+      (* line -> the in-flight (open or staged) transaction whose
+         write-set touches it; kept only while [indexed] *)
+  mutable indexed : bool;
+      (* two or more transactions have been in flight since the engine
+         last quiesced *)
   mutable next_txn_id : int;
   mutable undo_tail : int; (* shared undo log tail, all transactions *)
   mutable flushing : bool; (* a group flush is propagating right now *)
@@ -197,6 +212,8 @@ and txn = {
   t_client : string;
   mutable ranges : range list; (* logged undo fragments, newest first *)
   mutable wset : Iset.t Imap.t; (* write-set index: coalesced declared ranges per segment *)
+  mutable claimed : int list; (* the lines this transaction owns in [owners] *)
+  mutable staged_exact : (segment * int * int) list; (* exact runs, cached when staged *)
   mutable declared : int; (* set_range calls this transaction, pre-coalescing *)
   mutable declared_bytes : int;
   mutable state : txn_state;
@@ -447,6 +464,8 @@ let make ~config ~cluster ~local_id ~epoch mirrors =
       ready = epoch > 0L;
       open_txns = [];
       staged = [];
+      owners = Lines.create 64;
+      indexed = false;
       next_txn_id = 1;
       undo_tail = 0;
       flushing = false;
@@ -719,7 +738,6 @@ let append_chunks t m a =
       ]
 
 let union_by_seg = Imap.union (fun _ a b -> Some (Iset.union a b))
-let batch_wset batch = List.fold_left (fun acc txn -> union_by_seg acc txn.wset) Imap.empty batch
 let seg_of_index t index = List.find (fun s -> s.index = index) t.segs
 let seg_runs seg intervals acc =
   List.fold_left (fun acc (off, len) -> (seg, off, len) :: acc) acc intervals
@@ -734,46 +752,99 @@ let exact_runs t wset =
        (fun index iset acc -> seg_runs (seg_of_index t index) (Iset.intervals iset) acc)
        wset [])
 
-(* Everything a commit reads off a write-set, from one walk: its bytes,
-   its {!exact_runs}, and its data propagation list.  The propagation
-   list is the exact runs, except that under [optimized_memcpy] runs
-   whose 64-byte SCI line spans touch are glued into one exact hull so
-   they stream as a single fuller burst.  Shipping a hull's gap bytes
-   is safe for the same reason the NIC-level widening is: bytes outside
-   the written ranges are identical on both sides, and recovery's undo
-   replay restores any early-propagated declared byte.  Batch members
-   are line-disjoint by the conflict rules, so a cross-transaction hull
-   never ships a byte an open transaction has dirtied. *)
+(* Runs in segment-index then offset order, each pair of neighbours in
+   one segment for which [joins end start] holds replaced by their
+   hull; [runs] itself when no pair joins. *)
+let join_runs joins runs =
+  let rec any = function
+    | (s, o, l) :: ((s', o', _) :: _ as rest) -> (s == s' && joins (o + l) o') || any rest
+    | _ -> false
+  in
+  let rec go acc s lo hi = function
+    | (s', o, l) :: rest when s' == s && joins hi o -> go acc s lo (max hi (o + l)) rest
+    | (s', o, l) :: rest -> go ((s, lo, hi - lo) :: acc) s' o (o + l) rest
+    | [] -> List.rev ((s, lo, hi - lo) :: acc)
+  in
+  match runs with
+  | (s, o, l) :: rest when any runs -> go [] s o (o + l) rest
+  | _ -> runs
+
+(* Everything a commit reads off its exact runs: their bytes, and the
+   data propagation list.  The propagation list is the exact runs,
+   except that under [optimized_memcpy] runs whose 64-byte SCI line
+   spans touch are glued into one exact hull (the rule of {!Iset.glue})
+   so they stream as a single fuller burst.  Shipping a hull's gap
+   bytes is safe for the same reason the NIC-level widening is: bytes
+   outside the written ranges are identical on both sides, and
+   recovery's undo replay restores any early-propagated declared byte.
+   Batch members are line-disjoint by the conflict rules, so a
+   cross-transaction hull never ships a byte an open transaction has
+   dirtied. *)
 type wset_runs = {
   bytes : int;
   exact : (segment * int * int) list;
   data : (segment * int * int) list;
 }
 
-let wset_runs t wset =
-  let bytes, exact, data =
-    Imap.fold
-      (fun index iset (bytes, exact, data) ->
-        let seg = seg_of_index t index in
-        let runs = Iset.intervals iset in
-        let glued =
-          if not t.config.optimized_memcpy then runs
-          else
-            let g = Iset.glue iset ~align:64 in
-            if g == iset then runs else Iset.intervals g
-        in
-        ( List.fold_left (fun acc (_, len) -> acc + len) bytes runs,
-          seg_runs seg runs exact,
-          seg_runs seg glued data ))
-      wset (0, [], [])
-  in
-  { bytes; exact = List.rev exact; data = List.rev data }
+let touch_lines = Iset.touch ~align:64
+
+let runs_of t exact =
+  {
+    bytes = List.fold_left (fun acc (_, _, len) -> acc + len) 0 exact;
+    exact;
+    data = (if t.config.optimized_memcpy then join_runs touch_lines exact else exact);
+  }
+
+let wset_runs t wset = runs_of t (exact_runs t wset)
+
+(* A line-disjoint batch's runs, from its members' exact runs — cached
+   by [commit] on a staged member, walked on an open one (a dry run's
+   candidate): sorted, with byte-adjacent runs of different members
+   merged, they are the batch write-set's coalesced runs. *)
+let batch_runs t batch =
+  let member txn = match txn.state with Staged -> txn.staged_exact | _ -> exact_runs t txn.wset in
+  List.concat_map member batch
+  |> List.sort (fun (s, o, _) (s', o', _) ->
+         if s.index <> s'.index then Int.compare s.index s'.index else Int.compare o o')
+  |> join_runs (fun hi o -> hi >= o)
+  |> runs_of t
 
 (* The append exact runs [exact] make: the runs of chunks they touch
    that the list does not name yet — nothing unless the list is kept. *)
 let list_append t exact =
   let runs = if not (listing t) then [] else unlisted t (chunk_runs exact) in
   { a_pos = t.dirty_pos; a_runs = List.filteri (fun i _ -> t.dirty_pos + i < Layout.dirty_capacity) runs }
+
+(* The line-ownership index.  In-flight write-sets are pairwise
+   line-disjoint (the conflict rules in [set_range] keep them so), so
+   each line has at most one owner; a transaction records the lines it
+   claims so that closing or dooming it releases exactly those. *)
+let line seg off = seg.chunk0 + (off / Layout.chunk_bytes)
+
+(* Claim [seg]'s lines under [\[off, off+len)] for [txn].  A line
+   already owned is [txn]'s own: any other owner has been flushed or
+   doomed by then. *)
+let claim txn seg ~off ~len =
+  let owners = txn.owner.owners in
+  for l = line seg off to line seg (off + len - 1) do
+    if not (Lines.mem owners l) then begin
+      Lines.add owners l txn;
+      txn.claimed <- l :: txn.claimed
+    end
+  done
+
+let release txn =
+  List.iter (Lines.remove txn.owner.owners) txn.claimed;
+  txn.claimed <- []
+
+(* Start indexing when a second transaction comes in flight: the one
+   transaction that ran alone declared without claiming, so its lines
+   are claimed from its write-set now. *)
+let fill_index t =
+  List.iter
+    (fun txn -> List.iter (fun (seg, off, len) -> claim txn seg ~off ~len) (exact_runs t txn.wset))
+    (t.open_txns @ t.staged);
+  t.indexed <- true
 
 let begin_transaction ?(client = "default") t =
   if not t.ready then failwith "Perseas.begin_transaction: call init_remote_db first";
@@ -787,6 +858,7 @@ let begin_transaction ?(client = "default") t =
   | None -> ());
   traced t ~name:"begin" ~args:(fun () -> [ ("client", client) ]) (fun () ->
       Clock.advance (clock t) t_begin);
+  if (not t.indexed) && (t.open_txns <> [] || t.staged <> []) then fill_index t;
   let id = t.next_txn_id in
   t.next_txn_id <- id + 1;
   let txn =
@@ -796,6 +868,8 @@ let begin_transaction ?(client = "default") t =
       t_client = client;
       ranges = [];
       wset = Imap.empty;
+      claimed = [];
+      staged_exact = [];
       declared = 0;
       declared_bytes = 0;
       state = Open;
@@ -824,17 +898,20 @@ let check_seg_range seg ~off ~len op =
       (Printf.sprintf "Perseas.%s: [%d,+%d) outside segment %S of %d bytes" op off len seg.seg_name
          seg.size)
 
-(* Closing the last in-flight transaction quiesces the shared undo log:
-   the tail rewinds to 0 exactly when nothing live references it, which
-   in sequential use is after every transaction — the single-txn-era
-   behaviour, byte for byte. *)
+(* Closing the last in-flight transaction quiesces the engine: the
+   shared undo log's tail rewinds to 0 exactly when nothing live
+   references it, which in sequential use is after every transaction —
+   the single-txn-era behaviour, byte for byte — and the line index,
+   empty once every owner has released its lines, stops being kept. *)
 let close txn =
   let t = txn.owner in
   txn.state <- Closed;
+  release txn;
   t.open_txns <- List.filter (fun x -> x != txn) t.open_txns;
   t.staged <- List.filter (fun x -> x != txn) t.staged;
   if t.open_txns = [] && t.staged = [] then begin
     t.undo_tail <- 0;
+    t.indexed <- false;
     Trace.Gauge.set t.g_undo_tail 0
   end
 
@@ -1092,7 +1169,7 @@ let flush_undo_chunks batch =
    it and [flush_step_count] counts it. *)
 let flush_convoy t batch =
   let undo_chunks = flush_undo_chunks batch in
-  let w = wset_runs t (batch_wset batch) in
+  let w = batch_runs t batch in
   let append = list_append t w.exact in
   let chunks m =
     List.map
@@ -1214,7 +1291,7 @@ let flush t =
        Log.warn (fun k -> k "all mirrors lost mid-flush: %d staged transaction(s) rolled back" n);
        raise All_mirrors_lost);
     t.epoch <- Int64.add t.epoch 1L;
-    List.iter (fun txn -> note_dirty t ~tag:t.epoch (exact_runs t txn.wset)) batch;
+    List.iter (fun txn -> note_dirty t ~tag:t.epoch txn.staged_exact) batch;
     t.st.committed <- t.st.committed + n;
     t.st.group_flushes <- t.st.group_flushes + 1;
     t.st.group_commit_txns <- t.st.group_commit_txns + n;
@@ -1245,56 +1322,64 @@ let set_range txn seg ~off ~len =
   (* Conflict detection at 64-byte-line granularity — the unit the NIC
      widening and commit glue may ship margin bytes at, so line-level
      disjointness is what makes cross-transaction batching safe.  The
-     declared lines are checked against every other in-flight
-     write-set:
-     - against a STAGED transaction the declarer wins by waiting: the
-       queue is flushed early and the declaration proceeds against
-       committed state;
-     - against an OPEN transaction the younger aborts — an older
+     line index names, for each declared line, the in-flight
+     transaction whose write-set touches it.  That owner is unique:
+     these very rules keep in-flight write-sets line-disjoint, each
+     declaration resolving its clashes before it claims its lines.
+     Against the owners of the declared lines:
+     - a STAGED owner makes the declarer win by waiting: the queue is
+       flushed early and the declaration proceeds against committed
+       state;
+     - against OPEN owners the younger side aborts — an older
        transaction has done more work and is closer to committing, so
        the cheaper loser retries (see DESIGN.md).
-     The declared span covers whole lines, so a peer's byte lies in it
-     exactly when that byte's line is declared: intersecting the span
-     with the peer's write-set as it stands is the line-level test. *)
-  let decl_lines =
-    let lo = off / 64 * 64 in
-    Iset.add Iset.empty ~off:lo ~len:(((off + len + 63) / 64 * 64) - lo)
-  in
-  let clashes peer =
-    match Imap.find_opt seg.index peer.wset with
-    | None -> false
-    | Some is -> Iset.intersects decl_lines is
-  in
-  if List.exists clashes t.staged then flush t;
-  let clashing = List.filter (fun p -> p != txn && clashes p) t.open_txns in
-  (match List.find_opt (fun p -> p.t_id < txn.t_id) clashing with
-  | Some older ->
-      (* The declarer is the younger party: roll it back and surface
-         the typed conflict to its client for a retry. *)
-      t.st.conflicts <- t.st.conflicts + 1;
-      t.st.aborts <- t.st.aborts + 1;
-      traced t ~name:"abort"
-        ~args:(fun () -> [ ("reason", "conflict"); ("txn", string_of_int txn.t_id) ])
-        (fun () -> rollback_local txn);
-      close txn;
-      raise (Conflict { younger = txn.t_id; older = older.t_id })
-  | None ->
-      (* Every clashing holder is younger: doom each one — roll it back
-         now, before this declaration's before-image is cut, and let
-         the loser learn of it at its next library call. *)
-      List.iter
-        (fun victim ->
+     A transaction alone in flight has no peer to clash with: the index
+     is kept, and read, only once a second transaction has begun. *)
+  let peers = ref [] in
+  if t.indexed then
+    for l = line seg off to line seg (off + len - 1) do
+      match Lines.find t.owners l with
+      | p -> if p != txn && not (List.memq p !peers) then peers := p :: !peers
+      | exception Not_found -> ()
+    done;
+  (match !peers with
+  | [] -> ()
+  | peers -> (
+      if List.exists (fun p -> p.state = Staged) peers then flush t;
+      (* Newest first, like [t.open_txns]. *)
+      let clashing =
+        List.filter (fun p -> p.state = Open) peers
+        |> List.sort (fun a b -> Int.compare b.t_id a.t_id)
+      in
+      match List.find_opt (fun p -> p.t_id < txn.t_id) clashing with
+      | Some older ->
+          (* The declarer is the younger party: roll it back and surface
+             the typed conflict to its client for a retry. *)
           t.st.conflicts <- t.st.conflicts + 1;
           t.st.aborts <- t.st.aborts + 1;
           traced t ~name:"abort"
-            ~args:(fun () -> [ ("reason", "conflict"); ("txn", string_of_int victim.t_id) ])
-            (fun () -> rollback_local victim);
-          victim.ranges <- [];
-          victim.wset <- Imap.empty;
-          victim.state <- Doomed;
-          victim.doomed_by <- txn.t_id;
-          t.open_txns <- List.filter (fun x -> x != victim) t.open_txns)
-        clashing);
+            ~args:(fun () -> [ ("reason", "conflict"); ("txn", string_of_int txn.t_id) ])
+            (fun () -> rollback_local txn);
+          close txn;
+          raise (Conflict { younger = txn.t_id; older = older.t_id })
+      | None ->
+          (* Every clashing holder is younger: doom each one — roll it
+             back now, before this declaration's before-image is cut, and
+             let the loser learn of it at its next library call. *)
+          List.iter
+            (fun victim ->
+              t.st.conflicts <- t.st.conflicts + 1;
+              t.st.aborts <- t.st.aborts + 1;
+              traced t ~name:"abort"
+                ~args:(fun () -> [ ("reason", "conflict"); ("txn", string_of_int victim.t_id) ])
+                (fun () -> rollback_local victim);
+              release victim;
+              victim.ranges <- [];
+              victim.wset <- Imap.empty;
+              victim.state <- Doomed;
+              victim.doomed_by <- txn.t_id;
+              t.open_txns <- List.filter (fun x -> x != victim) t.open_txns)
+            clashing));
   let prior = txn_iset txn seg in
   (* First-write-only logging: a sub-range already declared this
      transaction keeps its original before-image — the one recovery and
@@ -1322,6 +1407,7 @@ let set_range txn seg ~off ~len =
   List.iter (fun (off, len) -> log_undo_record txn seg ~off ~len) fragments;
   Trace.Gauge.set t.g_undo_tail t.undo_tail;
   txn.wset <- Imap.add seg.index (Iset.add prior ~off ~len) txn.wset;
+  if t.indexed then claim txn seg ~off ~len;
   txn.declared <- txn.declared + 1;
   txn.declared_bytes <- txn.declared_bytes + len;
   t.st.set_ranges <- t.st.set_ranges + 1;
@@ -1366,6 +1452,7 @@ let commit txn =
        carry it.  Durability — and the [committed] count — arrive with
        the flush's fence, not here. *)
     txn.state <- Staged;
+    txn.staged_exact <- w.exact;
     t.open_txns <- List.filter (fun x -> x != txn) t.open_txns;
     t.staged <- t.staged @ [ txn ];
     if List.length t.staged >= t.config.group_commit then flush t
@@ -1433,16 +1520,22 @@ let write t seg ~off data =
   let len = Bytes.length data in
   check_seg_range seg ~off ~len "write";
   if t.ready then begin
-    (* Open write-sets are pairwise line-disjoint, so at most one
-       transaction can cover the range — find it. *)
-    match List.find_opt (fun txn -> covered txn seg ~off ~len) t.open_txns with
-    | Some _ -> ()
-    | None ->
-        if t.open_txns = [] then failwith "Perseas.write: no open transaction"
-        else
-          failwith
-            (Printf.sprintf "Perseas.write: [%d,+%d) of %S not covered by any open set_range" off
-               len seg.seg_name)
+    (* In-flight write-sets are pairwise line-disjoint, so only the
+       owner of the range's first line can cover it; unindexed, at most
+       one transaction is open. *)
+    let ok =
+      if t.indexed && len > 0 then
+        match Lines.find t.owners (line seg off) with
+        | txn -> txn.state = Open && covered txn seg ~off ~len
+        | exception Not_found -> false
+      else List.exists (fun txn -> covered txn seg ~off ~len) t.open_txns
+    in
+    if not ok then
+      if t.open_txns = [] then failwith "Perseas.write: no open transaction"
+      else
+        failwith
+          (Printf.sprintf "Perseas.write: [%d,+%d) of %S not covered by any open set_range" off len
+             seg.seg_name)
   end;
   Mem.Image.write_bytes (local_dram t) ~off:(Mem.Segment.base seg.local + off) data;
   traced t ~name:"in_place_write" (fun () -> charge_local_copy t len)

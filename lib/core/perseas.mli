@@ -73,9 +73,9 @@ type config = {
 }
 
 val default_config : config
-(** 1 MiB + slack of undo space, 64 segments, strict updates,
-    redundancy elision on, eager commit
-    ([group_commit = 1]), 64 retired-epoch entries. *)
+(** 1 MiB + slack of undo space, 64 segments, optimized memcpy,
+    redundancy elision on, eager commit ([group_commit = 1]), 64
+    retired-epoch entries. *)
 
 exception Undo_overflow
 (** A transaction declared more before-image bytes than the undo log
@@ -302,7 +302,7 @@ val commit : txn -> unit
     propagation ships the transaction's {e coalesced} write-set —
     adjacent/overlapping declarations merged into maximal contiguous
     runs and, when [optimized_memcpy] is also set, runs sharing a
-    64-byte packet line glued into one hull ({!Iset.glue}) — instead of
+    64-byte packet line glued into one hull ({!Iset.glue}'s rule) — instead of
     one plan per [set_range] call.
 
     With [config.group_commit > 1] the transaction is {e staged}

@@ -217,22 +217,23 @@ let probe env =
          (no-op for eager engines — the queue is empty). *)
       P.flush env.t
 
+(* The node a bystander victim names in [env], and what its death is
+   called; [Invalid_argument] when [env] has no such node. *)
+let bystander env = function
+  | Mirror i -> (
+      match List.nth_opt (P.mirrors env.t) i with
+      | Some mi -> (mi.P.node_id, "mirror death")
+      | None -> invalid_arg "Crashpoint.sweep: mirror index out of range")
+  | Ckpt_target -> (
+      match env.ckpt with
+      | Some s -> (Node.id (Netram.Server.node s), "checkpoint-target death")
+      | None -> invalid_arg "Crashpoint.sweep: scenario has no checkpoint target")
+  | Primary | Recovering _ -> invalid_arg "Crashpoint.run_node_point: the victim is not a bystander"
+
 let run_node_point ?(attach = fun (_ : env) -> ()) scenario ~pre ~checkpoints ~post ~k ~victim =
   let env = scenario.make () in
   attach env;
-  let victim_node, what =
-    match victim with
-    | Mirror i -> (
-        match List.nth_opt (P.mirrors env.t) i with
-        | Some mi -> (mi.P.node_id, "mirror death")
-        | None -> invalid_arg "Crashpoint.sweep: mirror index out of range")
-    | Ckpt_target -> (
-        match env.ckpt with
-        | Some s -> (Node.id (Netram.Server.node s), "checkpoint-target death")
-        | None -> invalid_arg "Crashpoint.sweep: scenario has no checkpoint target")
-    | Primary | Recovering _ ->
-        invalid_arg "Crashpoint.run_node_point: the victim is not a bystander"
-  in
+  let victim_node, what = bystander env victim in
   (* Only a mirror's death may cost the library its last mirror. *)
   let all_lost f =
     match f () with () -> false | exception P.All_mirrors_lost when victim <> Ckpt_target -> true
@@ -379,6 +380,12 @@ let run_recovering_point ?(attach = fun (_ : env) -> ()) ?recovery_sink scenario
 (* ------------------------------------------------------------------ *)
 
 let sweep ?(victim = Primary) ?postmortem scenario =
+  (* A victim the scenario has no node for is refused on a fresh env,
+     before the dry run spends a whole script on it. *)
+  (match victim with
+  | Primary -> ()
+  | Recovering { in_place_first } -> ignore (recovery_nodes (scenario.make ()) ~in_place_first)
+  | Mirror _ | Ckpt_target -> ignore (bystander (scenario.make ()) victim));
   let total, pre, checkpoints, post =
     match victim with
     | Recovering { in_place_first } ->

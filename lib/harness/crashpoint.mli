@@ -99,7 +99,10 @@ exception Oracle_violation of string
 
 val sweep : ?victim:victim -> ?postmortem:string -> scenario -> report
 (** Run the full sweep.  [victim] defaults to {!Primary}.  Raises
-    {!Oracle_violation} on the first point that breaks the oracle.
+    {!Oracle_violation} on the first point that breaks the oracle, and
+    [Invalid_argument], before the script runs at all, when the
+    scenario has no node for [victim] (a mirror index out of range, or
+    a checkpoint-target or recovering victim without a target).
 
     With [postmortem] (a directory), every point flies a
     {!Forensics.t} flight recorder: the engine under test (and, for

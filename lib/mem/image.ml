@@ -73,4 +73,12 @@ let checksum t ~off ~len =
   done;
   !h
 
+let fnv32 t ~seed ~off ~len =
+  check t off len "fnv32";
+  let h = ref seed in
+  for i = off to off + len - 1 do
+    h := (!h lxor Char.code (Bytes.unsafe_get t.data i)) * 0x01000193 land 0xFFFFFFFF
+  done;
+  !h
+
 let snapshot t ~off ~len = read_bytes t ~off ~len

@@ -46,5 +46,10 @@ val equal_range : t -> t -> off:int -> len:int -> bool
 val checksum : t -> off:int -> len:int -> int64
 (** FNV-1a over the range; used by tests and workload validation. *)
 
+val fnv32 : t -> seed:int -> off:int -> len:int -> int
+(** 32-bit FNV-1a over the range, continuing from [seed]: each byte
+    is xored in, then the hash is multiplied by the FNV prime, modulo
+    2{^32}.  One bounds check for the whole range. *)
+
 val snapshot : t -> off:int -> len:int -> bytes
 (** Alias of {!read_bytes}, named for test-oracle call sites. *)

@@ -486,6 +486,269 @@ let prop_concurrent_serializes =
       if smirror <> slocal then QCheck.Test.fail_report "serial mirror diverged";
       true)
 
+(* ------------------------------------------------------------------ *)
+(* Reference model: colliding schedules *)
+
+(* Two small segments, the first with a short last line, so that
+   declarations collide often and line numbers cross a segment
+   boundary. *)
+let model_sizes = [| 500; 448 |]
+
+type action =
+  | Declare of int * int * int (* segment, off, len *)
+  | Write of bool * int * int * int
+      (* aimed into the client's own declarations?, segment, off, len *)
+  | Commit
+  | Abort
+  | Validate
+  | Flush
+
+(* The model's transaction: what it declared (ranges and 64-byte lines)
+   and the writes the engine accepted for it, newest first. *)
+type mtxn = {
+  id : int;
+  client : int;
+  handle : P.txn;
+  mutable lines : (int * int) list;
+  mutable decls : (int * int * int) list;
+  mutable writes : (int * int * bytes) list;
+  mutable staged : bool;
+}
+
+type slot = Idle | Live of mtxn | Doomed of P.txn * int * int (* handle, own id, doomer's id *)
+
+let pp_action = function
+  | Declare (s, off, len) -> Printf.sprintf "declare s%d [%d,+%d)" s off len
+  | Write (aim, s, off, len) ->
+      Printf.sprintf "write%s s%d [%d,+%d)" (if aim then " aimed" else "") s off len
+  | Commit -> "commit"
+  | Abort -> "abort"
+  | Validate -> "validate"
+  | Flush -> "flush"
+
+let pp_schedule (clients, group, ops) =
+  Printf.sprintf "clients=%d group=%d\n%s" clients group
+    (String.concat "\n" (List.map (fun (c, a) -> Printf.sprintf "  c%d %s" c (pp_action a)) ops))
+
+let gen_schedule =
+  let open QCheck.Gen in
+  let seg = int_bound (Array.length model_sizes - 1) in
+  let range max_len =
+    seg >>= fun s ->
+    int_range 1 max_len >>= fun len ->
+    int_bound (model_sizes.(s) - len) >|= fun off -> (s, off, len)
+  in
+  let declare = range 96 >|= fun (s, off, len) -> Declare (s, off, len) in
+  let aim = frequency [ (3, return true); (1, return false) ] in
+  let write = pair aim (range 64) >|= fun (aim, (s, off, len)) -> Write (aim, s, off, len) in
+  let action =
+    frequency
+      [
+        (8, declare);
+        (6, write);
+        (3, return Commit);
+        (1, return Abort);
+        (1, return Validate);
+        (1, return Flush);
+      ]
+  in
+  int_range 2 6 >>= fun clients ->
+  oneof [ return 1; int_range 2 8 ] >>= fun group ->
+  pair declare declare >>= fun (d0, d1) ->
+  list_size (int_range 10 60) (pair (int_bound (clients - 1)) action) >|= fun ops ->
+  (* Client 0 declares before client 1 begins: the second begin fills
+     the line index from a write-set already in flight. *)
+  (clients, group, (0, d0) :: (1, d1) :: ops)
+
+let run_model (clients, group, ops) =
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  let config = { (group_config ~group ()) with undo_capacity = 128 * 1024 } in
+  let b = bed ~dram:(1024 * 1024) ~config () in
+  let segs =
+    Array.mapi
+      (fun i size ->
+        let seg = P.malloc b.t ~name:(Printf.sprintf "s%d" i) ~size in
+        P.write b.t seg ~off:0 (Bytes.init size (fun j -> Char.chr (((j * 13) + i) land 0xff)));
+        seg)
+      model_sizes
+  in
+  P.init_remote_db b.t;
+  let committed = Array.map (fun seg -> P.read b.t seg ~off:0 ~len:(P.segment_size seg)) segs in
+  let slots = Array.make clients Idle in
+  let inflight = ref [] (* open and staged model transactions *) in
+  let queue = ref [] (* staged, commit order *) in
+  let next_id = ref 1 in
+  let drop x = inflight := List.filter (fun y -> y != x) !inflight in
+  let apply x =
+    List.iter
+      (fun (s, off, data) -> Bytes.blit data 0 committed.(s) off (Bytes.length data))
+      (List.rev x.writes)
+  in
+  let model_flush () =
+    List.iter
+      (fun x ->
+        apply x;
+        drop x)
+      !queue;
+    queue := []
+  in
+  let stats () = P.stats b.t in
+  let expect_deltas what (s0 : P.stats) ~flushes ~conflicts =
+    let s1 = stats () in
+    if s1.P.group_flushes - s0.P.group_flushes <> flushes then
+      fail "%s: %d flushes, model %d" what (s1.P.group_flushes - s0.P.group_flushes) flushes;
+    if s1.P.conflicts - s0.P.conflicts <> conflicts then
+      fail "%s: %d conflicts, model %d" what (s1.P.conflicts - s0.P.conflicts) conflicts
+  in
+  let lines_of s off len =
+    List.init (((off + len - 1) / 64) - (off / 64) + 1) (fun i -> (s, (off / 64) + i))
+  in
+  let covers x s off len =
+    let declared b = List.exists (fun (s', o, l) -> s' = s && o <= b && b < o + l) x.decls in
+    let rec go b = b >= off + len || (declared b && go (b + 1)) in
+    go off
+  in
+  let begin_ c =
+    let h = P.begin_transaction ~client:(Printf.sprintf "c%d" c) b.t in
+    if P.txn_id h <> !next_id then fail "begin: id %d, model %d" (P.txn_id h) !next_id;
+    let x =
+      { id = !next_id; client = c; handle = h; lines = []; decls = []; writes = []; staged = false }
+    in
+    incr next_id;
+    inflight := x :: !inflight;
+    slots.(c) <- Live x;
+    x
+  in
+  let declare x (s, off, len) =
+    let what = Printf.sprintf "t%d declare s%d [%d,+%d)" x.id s off len in
+    let lines = lines_of s off len in
+    let holds y = y != x && List.exists (fun l -> List.mem l y.lines) lines in
+    let peers = List.filter holds !inflight in
+    let flushes = List.exists (fun y -> y.staged) peers in
+    let s0 = stats () in
+    if flushes then model_flush ();
+    let clashing = List.filter (fun y -> not y.staged) peers in
+    let older =
+      List.fold_left (fun acc y -> if y.id < x.id then max acc y.id else acc) 0 clashing
+    in
+    match P.set_range x.handle segs.(s) ~off ~len with
+    | () ->
+        if older > 0 then fail "%s: proceeded, model loses to t%d" what older;
+        List.iter
+          (fun v ->
+            drop v;
+            slots.(v.client) <- Doomed (v.handle, v.id, x.id))
+          clashing;
+        x.lines <- lines @ x.lines;
+        x.decls <- (s, off, len) :: x.decls;
+        expect_deltas what s0 ~flushes:(Bool.to_int flushes) ~conflicts:(List.length clashing)
+    | exception P.Conflict { younger; older = o } ->
+        if older = 0 then fail "%s: Conflict with t%d, model proceeds" what o;
+        if younger <> x.id || o <> older then
+          fail "%s: Conflict {younger = %d; older = %d}, model {%d; %d}" what younger o x.id older;
+        drop x;
+        slots.(x.client) <- Idle;
+        expect_deltas what s0 ~flushes:(Bool.to_int flushes) ~conflicts:1
+  in
+  let write c ~aim (s, off, len) =
+    let s, off, len =
+      match slots.(c) with
+      | Live ({ decls = _ :: _; _ } as x) when aim ->
+          (* Inside one of the client's declarations, sometimes a few
+             bytes past its end. *)
+          let ds, doff, dlen = List.nth x.decls (off mod List.length x.decls) in
+          let start = doff + (off mod dlen) in
+          let len = 1 + (len mod (doff + dlen - start + 3)) in
+          (ds, start, min len (model_sizes.(ds) - start))
+      | _ -> (s, off, len)
+    in
+    let data = Bytes.make len (Char.chr (Char.code 'A' + (!next_id + off) mod 26)) in
+    let owner = List.find_opt (fun y -> (not y.staged) && covers y s off len) !inflight in
+    match (P.write b.t segs.(s) ~off data, owner) with
+    | (), Some y -> y.writes <- (s, off, data) :: y.writes
+    | (), None -> fail "write s%d [%d,+%d): accepted, model rejects" s off len
+    | exception Failure _ -> (
+        match owner with
+        | Some y -> fail "write s%d [%d,+%d): rejected, model accepts for t%d" s off len y.id
+        | None -> ())
+  in
+  let commit x =
+    let s0 = stats () in
+    P.commit x.handle;
+    slots.(x.client) <- Idle;
+    if group = 1 then begin
+      apply x;
+      drop x
+    end
+    else begin
+      x.staged <- true;
+      queue := !queue @ [ x ]
+    end;
+    let flushes = group > 1 && List.length !queue >= group in
+    if flushes then model_flush ();
+    expect_deltas (Printf.sprintf "t%d commit" x.id) s0 ~flushes:(Bool.to_int flushes) ~conflicts:0
+  in
+  let step (c, action) =
+    (match (slots.(c), action) with
+    | Doomed (h, _, _), Abort ->
+        P.abort h;
+        slots.(c) <- Idle
+    | Doomed (h, y, o), _ -> (
+        match P.validate h with
+        | () -> fail "c%d: doomed t%d validated" c y
+        | exception P.Conflict { younger; older } ->
+            if younger <> y || older <> o then
+              fail "c%d: Conflict {younger = %d; older = %d}, model {%d; %d}" c younger older y o;
+            slots.(c) <- Idle)
+    | Idle, Declare (s, off, len) -> declare (begin_ c) (s, off, len)
+    | Live x, Declare (s, off, len) -> declare x (s, off, len)
+    | _, Write (aim, s, off, len) -> write c ~aim (s, off, len)
+    | Live x, Commit -> commit x
+    | Live x, Abort ->
+        P.abort x.handle;
+        drop x;
+        slots.(c) <- Idle
+    | Live x, Validate -> P.validate x.handle
+    | _, Flush ->
+        let s0 = stats () in
+        let flushes = !queue <> [] in
+        P.flush b.t;
+        model_flush ();
+        expect_deltas "flush" s0 ~flushes:(Bool.to_int flushes) ~conflicts:0
+    | Idle, (Commit | Abort | Validate) -> ());
+    let open_ = List.length (List.filter (fun y -> not y.staged) !inflight) in
+    if P.open_txn_count b.t <> open_ then fail "%d open, model %d" (P.open_txn_count b.t) open_;
+    if P.staged_count b.t <> List.length !queue then
+      fail "%d staged, model %d" (P.staged_count b.t) (List.length !queue)
+  in
+  List.iter step ops;
+  Array.iteri
+    (fun c -> function
+      | Live x ->
+          P.abort x.handle;
+          drop x;
+          slots.(c) <- Idle
+      | Doomed (h, _, _) -> P.abort h
+      | Idle -> ())
+    slots;
+  P.flush b.t;
+  model_flush ();
+  Array.iteri
+    (fun i seg ->
+      if P.read b.t seg ~off:0 ~len:(P.segment_size seg) <> committed.(i) then
+        fail "segment s%d differs from the model's committed bytes" i)
+    segs;
+  if P.verify_mirrors b.t <> [] then fail "a mirror differs from the committed image";
+  true
+
+let prop_colliding_schedules_match_model =
+  QCheck.Test.make ~name:"colliding schedules match the conflict model" ~count:400
+    (QCheck.make ~print:pp_schedule
+       ~shrink:(fun (c, g, ops) ->
+         QCheck.Iter.map (fun ops -> (c, g, ops)) (QCheck.Shrink.list ops))
+       gen_schedule)
+    run_model
+
 let suite =
   [
     Alcotest.test_case "double begin typed, distinct clients legal" `Quick test_double_begin;
@@ -510,4 +773,5 @@ let suite =
     Alcotest.test_case "crash sweep with transactions in flight" `Slow
       test_crash_sweep_concurrent;
     QCheck_alcotest.to_alcotest prop_concurrent_serializes;
+    QCheck_alcotest.to_alcotest prop_colliding_schedules_match_model;
   ]

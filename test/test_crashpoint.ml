@@ -89,9 +89,34 @@ let test_named_registry () =
         (List.map C.victim_label victims))
     named
 
+(* A victim the scenario has no node for is refused before the script
+   runs even once. *)
+let test_unfit_victim_refused_first () =
+  let runs = ref 0 in
+  let counted (s : C.scenario) =
+    {
+      s with
+      C.script =
+        (fun env ~checkpoint ->
+          incr runs;
+          s.C.script env ~checkpoint);
+    }
+  in
+  let refused victim scenario =
+    runs := 0;
+    (match C.sweep ~victim (counted scenario) with
+    | _ -> Alcotest.fail "expected Invalid_argument"
+    | exception Invalid_argument _ -> ());
+    check_int (C.victim_label victim ^ ": script runs before the refusal") 0 !runs
+  in
+  refused C.Ckpt_target (C.commit_scenario ~mirrors:1 ());
+  refused (C.Mirror 5) (C.commit_scenario ~mirrors:1 ());
+  refused (C.Recovering { in_place_first = true }) (C.commit_scenario ~mirrors:1 ())
+
 let suite =
   [
     ("named registry and default victims", `Quick, test_named_registry);
+    ("an unfit victim is refused before the script runs", `Quick, test_unfit_victim_refused_first);
     ("commit sweep, one mirror", `Slow, test_commit_one_mirror);
     ("commit sweep, two mirrors", `Slow, test_commit_two_mirrors);
     ("commit sweep, three mirrors", `Slow, test_commit_three_mirrors);

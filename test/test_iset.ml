@@ -59,13 +59,8 @@ let test_glue () =
     (I.intervals (I.glue s ~align:64));
   check ivals "glue of empty" [] (I.intervals (I.glue I.empty ~align:64))
 
-let test_intersects_union () =
+let test_union () =
   let a = of_list [ (0, 64); (128, 64) ] and b = of_list [ (64, 64) ] in
-  check_bool "adjacent runs do not intersect" false (I.intersects a b);
-  check_bool "intersects is irreflexive on empty" false (I.intersects I.empty I.empty);
-  check_bool "overlap detected" true (I.intersects a (of_list [ (60, 8) ]));
-  check_bool "one-byte overlap detected" true (I.intersects a (of_list [ (191, 1) ]));
-  check_bool "containment detected" true (I.intersects a (of_list [ (10, 4) ]));
   check ivals "union merges across both" [ (0, 192) ] (I.intervals (I.union a b));
   check ivals "union with empty" (I.intervals a) (I.intervals (I.union a I.empty));
   check ivals "union with empty (flipped)" (I.intervals a) (I.intervals (I.union I.empty a))
@@ -165,21 +160,14 @@ let prop_glue_sound =
         (I.intervals g);
       true)
 
-(* intersects/union against the same bit-array model. *)
-let prop_intersects_union =
-  QCheck.Test.make ~name:"intersects and union match the bit-array model" ~count:500
+(* union against the same bit-array model. *)
+let prop_union =
+  QCheck.Test.make ~name:"union matches the bit-array model" ~count:500
     QCheck.(pair gen_ranges gen_ranges)
     (fun (ra, rb) ->
       let ra = List.map clamp ra and rb = List.map clamp rb in
       let a = of_list ra and b = of_list rb in
       let ma = model_of ra and mb = model_of rb in
-      let model_hit = ref false in
-      for i = 0 to universe - 1 do
-        if ma.(i) && mb.(i) then model_hit := true
-      done;
-      if I.intersects a b <> !model_hit then
-        QCheck.Test.fail_reportf "intersects diverges: %a vs %a" I.pp a I.pp b;
-      if I.intersects a b <> I.intersects b a then QCheck.Test.fail_report "intersects asymmetric";
       let mu = Array.mapi (fun i x -> x || mb.(i)) ma in
       if I.intervals (I.union a b) <> model_intervals mu then
         QCheck.Test.fail_reportf "union diverges: %a vs %a" I.pp a I.pp b;
@@ -191,9 +179,9 @@ let suite =
     ("add merges overlap and adjacency", `Quick, test_add_merges);
     ("covers and uncovered", `Quick, test_covers_uncovered);
     ("glue shared-line runs", `Quick, test_glue);
-    ("intersects and union", `Quick, test_intersects_union);
+    ("union", `Quick, test_union);
     ("invalid arguments rejected", `Quick, test_invalid);
     QCheck_alcotest.to_alcotest prop_matches_model;
     QCheck_alcotest.to_alcotest prop_glue_sound;
-    QCheck_alcotest.to_alcotest prop_intersects_union;
+    QCheck_alcotest.to_alcotest prop_union;
   ]

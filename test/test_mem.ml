@@ -47,6 +47,20 @@ let test_image_wipe_and_checksum () =
   check_bool "wipe changes checksum" true (before <> Image.checksum img ~off:0 ~len:128);
   check_int "wipe pattern" 0xde (Image.read_u8 img 0)
 
+(* 32-bit FNV-1a: the standard vectors from the offset basis, a seed
+   carried across a split range, and one bounds check for the range. *)
+let test_image_fnv32 () =
+  let img = Image.of_bytes (Bytes.of_string "xxfoobar") in
+  let basis = 0x811c9dc5 in
+  check_int "empty range" basis (Image.fnv32 img ~seed:basis ~off:2 ~len:0);
+  check_int "\"foobar\"" 0xbf9cf968 (Image.fnv32 img ~seed:basis ~off:2 ~len:6);
+  check_int "a split range chains through the seed"
+    (Image.fnv32 img ~seed:basis ~off:2 ~len:6)
+    (Image.fnv32 img ~seed:(Image.fnv32 img ~seed:basis ~off:2 ~len:2) ~off:4 ~len:4);
+  match Image.fnv32 img ~seed:basis ~off:4 ~len:5 with
+  | _ -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument _ -> ()
+
 let test_image_equal_range () =
   let a = Image.create ~size:16 and b = Image.create ~size:16 in
   check_bool "fresh equal" true (Image.equal_range a b ~off:0 ~len:16);
@@ -185,6 +199,7 @@ let suite =
     ("image overlapping blit", `Quick, test_image_blit_overlap);
     ("image wipe and checksum", `Quick, test_image_wipe_and_checksum);
     ("image equal_range", `Quick, test_image_equal_range);
+    ("image fnv32", `Quick, test_image_fnv32);
     ("segment basics", `Quick, test_segment_basics);
     ("segment overlap", `Quick, test_segment_overlap);
     ("allocator basic alloc/free", `Quick, test_alloc_basic);
