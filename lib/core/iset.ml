@@ -22,6 +22,7 @@ let check_range name ~off ~len =
 let add t ~off ~len =
   check_range "add" ~off ~len;
   if len = 0 then t
+  else if M.is_empty t then M.singleton off (off + len)
   else begin
     let lo = ref off and hi = ref (off + len) in
     let t = ref t in
@@ -55,22 +56,25 @@ let covers t ~off ~len =
 
 let uncovered t ~off ~len =
   check_range "uncovered" ~off ~len;
-  let hi = off + len in
-  let rec go pos acc =
-    if pos >= hi then List.rev acc
-    else
-      match M.find_last_opt (fun k -> k <= pos) t with
-      | Some (_, e) when e > pos -> go (min e hi) acc
-      | _ ->
-          (* [pos] is uncovered; the gap runs to the next interval. *)
-          let gap_end =
-            match M.find_first_opt (fun k -> k > pos) t with
-            | Some (k, _) -> min k hi
-            | None -> hi
-          in
-          go gap_end ((pos, gap_end - pos) :: acc)
-  in
-  go off []
+  if M.is_empty t then if len = 0 then [] else [ (off, len) ]
+  else begin
+    let hi = off + len in
+    let rec go pos acc =
+      if pos >= hi then List.rev acc
+      else
+        match M.find_last_opt (fun k -> k <= pos) t with
+        | Some (_, e) when e > pos -> go (min e hi) acc
+        | _ ->
+            (* [pos] is uncovered; the gap runs to the next interval. *)
+            let gap_end =
+              match M.find_first_opt (fun k -> k > pos) t with
+              | Some (k, _) -> min k hi
+              | None -> hi
+            in
+            go gap_end ((pos, gap_end - pos) :: acc)
+    in
+    go off []
+  end
 
 let intervals t = M.fold (fun lo hi acc -> (lo, hi - lo) :: acc) t [] |> List.rev
 let total t = M.fold (fun lo hi acc -> acc + (hi - lo)) t 0

@@ -59,6 +59,9 @@ type mirror = {
          attached *)
   mutable m_segs : Remote_segment.t array; (* the segments' copies, by segment index *)
   mutable m_alive : bool;
+  mutable m_dest : Sci.Nic.dest;
+      (* the handles above as one destination (window order at
+         [meta_win]): what every plan built for all mirrors runs on *)
 }
 
 type segment = {
@@ -129,6 +132,8 @@ type ckpt_progress = {
 type t = {
   config : config;
   cluster : Cluster.t;
+  clk : Clock.t; (* the cluster's clock and NIC, resolved once *)
+  nic : Sci.Nic.t;
   local_id : int;
   mutable mirrors : mirror array;
   mutable segs : segment list; (* creation order, reversed *)
@@ -227,10 +232,10 @@ let t_begin = Time.us 0.1
 let t_set_range = Time.us 0.05
 let t_commit = Time.us 0.2
 
-let clock t = Cluster.clock t.cluster
+let clock t = t.clk
 let local_node t = Cluster.node t.cluster t.local_id
 let local_dram t = Node.dram (local_node t)
-let params t = Sci.Nic.params (Cluster.nic t.cluster)
+let params t = Sci.Nic.params t.nic
 
 let charge_local_copy t len =
   Clock.advance (clock t) (Sci.Model.local_copy (params t) len);
@@ -242,7 +247,7 @@ let charge_local_copy t len =
    {!Netram.Client}. *)
 let set_sink t sink =
   t.sink <- sink;
-  Sci.Nic.set_sink (Cluster.nic t.cluster) sink
+  Sci.Nic.set_sink t.nic sink
 
 let sink t = t.sink
 
@@ -250,7 +255,12 @@ let sink t = t.sink
    even when [f] raises (mirror loss mid-phase) so per-phase sums still
    equal end-to-end latency on failure paths.  Like {!with_ctx}'s tags,
    the span's [args] are a thunk, forced before [f] runs and only while
-   the sink is live: with tracing off no argument string is built. *)
+   the sink is live, so with tracing off the strings it would build are
+   never built.  The closures [f] and [args] themselves are allocated by
+   every caller, traced or not: the per-transaction calls (begin,
+   set_range, the local undo copy, write, commit and the eager phases)
+   therefore test the sink first and stamp their spans with
+   {!span_from}, building nothing while it is off. *)
 let traced t ?(cat = "txn") ?args ~name f =
   if not (Trace.Sink.enabled t.sink) then f ()
   else begin
@@ -265,18 +275,25 @@ let traced t ?(cat = "txn") ?args ~name f =
         raise e
   end
 
+(* Stamp a span from [start] to now.  For bodies that cannot raise, with
+   the sink tested by the caller, so that neither the span's arguments
+   nor a closure is built while it is off. *)
+let span_from t ?(cat = "txn") ?args ~name start =
+  Trace.Sink.span ?args t.sink ~cat ~name ~start ~stop:(Clock.now (clock t))
+
 (* Bracket [f] with causal-context tags on the cluster NIC: every
    piece instant emitted inside [f] then carries the operation /
    transaction / convoy / destination-node identity, which is what
    {!Trace.Causal} stitches cross-node timelines from and what
    {!Trace.Monitor} checks protocol ordering against.  The tag list is
-   built lazily and only while the sink is live, so with tracing off
-   this is the usual single branch; the tags are trace metadata the
-   transfer machinery never reads, preserving byte-identity. *)
+   a thunk forced only while the sink is live; the caller still
+   allocates it and [f], so the eager phases call [with_ctx] only under
+   a live sink.  The tags are trace metadata the transfer machinery
+   never reads, preserving byte-identity. *)
 let with_ctx t args f =
   if not (Trace.Sink.enabled t.sink) then f ()
   else begin
-    let nic = Cluster.nic t.cluster in
+    let nic = t.nic in
     let saved = Sci.Nic.ctx nic in
     Sci.Nic.set_ctx nic (args ());
     Fun.protect ~finally:(fun () -> Sci.Nic.set_ctx nic saved) f
@@ -360,7 +377,7 @@ let stats_fields (s : stats) =
    packet stream. *)
 let set_telemetry t tel =
   t.tel <- tel;
-  Sci.Nic.set_telemetry (Cluster.nic t.cluster) tel;
+  Sci.Nic.set_telemetry t.nic tel;
   t.g_undo_tail <- Trace.Timeseries.gauge tel "perseas.undo_tail";
   t.g_group_size <- Trace.Timeseries.gauge tel "perseas.group_commit_size";
   Trace.Timeseries.on_sample tel (fun _at ->
@@ -419,31 +436,56 @@ let drop_mirror t m msg =
       k "mirror on node %d lost (%s); continuing degraded with %d mirror(s)" (mirror_node_id m)
         msg (mirror_count t))
 
-let with_mirror t m f =
-  if not m.m_alive then None
-  else
-    try Some (f ())
-    with Client.Unreachable msg ->
-      drop_mirror t m msg;
-      None
+(* Run [f i m] on each live mirror [m], [i] its index, dropping one
+   whose server turns out unreachable; [each_live_mirror] then insists
+   that one is left. *)
+let on_live_mirrors t f =
+  let mirrors = t.mirrors in
+  for i = 0 to Array.length mirrors - 1 do
+    let m = mirrors.(i) in
+    if m.m_alive then try f i m with Client.Unreachable msg -> drop_mirror t m msg
+  done
 
 let each_live_mirror t f =
-  Array.iteri (fun i m -> if m.m_alive then ignore (with_mirror t m (fun () -> f i m))) t.mirrors;
+  on_live_mirrors t f;
   if mirror_count t = 0 then raise All_mirrors_lost
+
+(* A mirror's windows, in the order of its destination's bases: the
+   metadata, the undo log, each segment's copy by index, then the
+   dirty-chunk list while one is exported.  Window [i] has the same
+   length on every mirror, so a plan built once runs on all of them. *)
+let meta_win = 0
+let undo_win = 1
+let seg_win seg = 2 + seg.index
+let list_win t = 2 + List.length t.segs
+
+let mirror_dest client ~meta ~undo ~segs ~list =
+  Client.dest client
+    (Array.concat [ [| meta; undo |]; segs; (match list with Some h -> [| h |] | None -> [||]) ])
+
+let mirror client ~meta ~undo ~segs ~list =
+  {
+    m_client = client;
+    m_meta = meta;
+    m_undo = undo;
+    m_dirty = list;
+    m_segs = segs;
+    m_alive = true;
+    m_dest = mirror_dest client ~meta ~undo ~segs ~list;
+  }
+
+(* Re-derive [m]'s destination after its handles changed. *)
+let rebind m =
+  m.m_dest <- mirror_dest m.m_client ~meta:m.m_meta ~undo:m.m_undo ~segs:m.m_segs ~list:m.m_dirty
 
 (* ------------------------------------------------------------------ *)
 (* Initialisation                                                       *)
 
 let fresh_mirror client ~config =
   let meta_bytes = Layout.meta_size ~max_segments:config.max_segments in
-  {
-    m_client = client;
-    m_meta = Client.malloc client ~name:(Layout.meta_name ~ns:config.namespace) ~size:meta_bytes;
-    m_undo = Client.malloc client ~name:(Layout.undo_name ~ns:config.namespace) ~size:config.undo_capacity;
-    m_dirty = None;
-    m_segs = [||];
-    m_alive = true;
-  }
+  let meta = Client.malloc client ~name:(Layout.meta_name ~ns:config.namespace) ~size:meta_bytes in
+  let undo = Client.malloc client ~name:(Layout.undo_name ~ns:config.namespace) ~size:config.undo_capacity in
+  mirror client ~meta ~undo ~segs:[||] ~list:None
 
 (* The one constructor.  [epoch] 0 is an engine whose remote database
    is not yet published ({!init_remote_db} publishes epoch 1); a
@@ -455,6 +497,8 @@ let make ~config ~cluster ~local_id ~epoch mirrors =
     {
       config;
       cluster;
+      clk = Cluster.clock cluster;
+      nic = Cluster.nic cluster;
       local_id;
       mirrors;
       segs = [];
@@ -561,7 +605,9 @@ let malloc t ~name ~size =
   let export_name = Layout.db_export_name ~ns:t.config.namespace name in
   let local = alloc_local t size (Printf.sprintf "segment %S" name) in
   Array.iter
-    (fun m -> m.m_segs <- Array.append m.m_segs [| Client.malloc m.m_client ~name:export_name ~size |])
+    (fun m ->
+      m.m_segs <- Array.append m.m_segs [| Client.malloc m.m_client ~name:export_name ~size |];
+      rebind m)
     t.mirrors;
   let chunk0 = snd (Layout.chunk_bases (List.map (fun s -> s.size) t.segs)) in
   let seg = { seg_name = name; index = List.length t.segs; size; local; chunk0 } in
@@ -570,14 +616,37 @@ let malloc t ~name ~size =
 
 (* Run a transfer plan, giving the fault-injection hook a chance to
    "crash the node" before each packet goes out. *)
-let run_plan t plan = Sci.Nic.run ?before:t.hook (Cluster.nic t.cluster) plan
+let run_plan t plan = Sci.Nic.run ?before:t.hook t.nic plan
+
+(* A copy of [len] bytes of local DRAM at [src_off] to [off] of window
+   [win] ([win_len] bytes long) of whichever mirror it runs on. *)
+let piece t ~tag ~widen ~win ~win_len ~off ~src_off ~len =
+  Sci.Nic.piece t.nic ~tag ~widen ~win ~win_len ~off ~src:(local_dram t) ~src_off ~len
+
+let plan_of t pieces = Sci.Nic.plan_pieces t.nic pieces
+
+let plan_to t ~widen ~win ~win_len ~off ~src_off ~len =
+  plan_of t [ piece t ~tag:"bulk" ~widen ~win ~win_len ~off ~src_off ~len ]
+
+(* Send [plans] to mirror [m], in order, through the hook.  The liveness
+   check comes first, so a dead or rebooted mirror raises
+   [Client.Unreachable] before any of its copies moves. *)
+let rec run_on t m = function
+  | [] -> ()
+  | plan :: rest ->
+      Sci.Nic.run_to ?before:t.hook t.nic m.m_dest plan;
+      run_on t m rest
+
+let send t m plans =
+  Client.check m.m_client;
+  run_on t m plans
 
 (* The plans copying runs [(seg, off, len)] of the local database to
-   mirror [m]'s copies. *)
-let plans_for t runs m =
+   every mirror's copies. *)
+let plans_for t runs =
   List.map
     (fun (seg, off, len) ->
-      Client.plan_write m.m_client ~widen:t.config.optimized_memcpy m.m_segs.(seg.index) ~seg_off:off
+      plan_to t ~widen:t.config.optimized_memcpy ~win:(seg_win seg) ~win_len:seg.size ~off
         ~src_off:(Mem.Segment.base seg.local + off) ~len)
     runs
 
@@ -606,23 +675,23 @@ let write_meta_staging t =
   Mem.Image.write_bytes (local_dram t) ~off:(Mem.Segment.base t.meta_local)
     (meta_image ~base:t.dirty_base t t.epoch)
 
-let push_meta_to t m =
-  run_plan t
-    (Client.plan_write m.m_client ~widen:t.config.optimized_memcpy m.m_meta ~seg_off:0
-       ~src_off:(Mem.Segment.base t.meta_local) ~len:(meta_size t))
-
 let push_meta t =
   write_meta_staging t;
+  let plan =
+    plan_to t ~widen:t.config.optimized_memcpy ~win:meta_win ~win_len:(meta_size t) ~off:0
+      ~src_off:(Mem.Segment.base t.meta_local) ~len:(meta_size t)
+  in
   each_live_mirror t (fun _ m ->
       with_ctx t
         (fun () -> [ ("op", "push_meta"); ("node", string_of_int (mirror_node_id m)) ])
-        (fun () -> push_meta_to t m))
+        (fun () -> send t m [ plan ]))
 
 let init_remote_db t =
   if t.ready then failwith "Perseas.init_remote_db: already initialised";
   List.iter
     (fun seg ->
-      each_live_mirror t (fun _ m -> List.iter (run_plan t) (plans_for t [ (seg, 0, seg.size) ] m)))
+      let plans = plans_for t [ (seg, 0, seg.size) ] in
+      each_live_mirror t (fun _ m -> send t m plans))
     t.segs;
   t.epoch <- 1L;
   push_meta t;
@@ -635,8 +704,8 @@ let init_remote_db t =
 let stage_epoch t new_epoch =
   Mem.Image.write_u64 (local_dram t) (Mem.Segment.base t.meta_local + Layout.epoch_offset) new_epoch
 
-let plan_epoch_write t m =
-  Client.plan_write m.m_client m.m_meta ~seg_off:Layout.epoch_offset
+let plan_epoch_write t =
+  plan_to t ~widen:true ~win:meta_win ~win_len:(meta_size t) ~off:Layout.epoch_offset
     ~src_off:(Mem.Segment.base t.meta_local + Layout.epoch_offset)
     ~len:8
 
@@ -655,11 +724,6 @@ let dirty_staging t =
   match t.dirty_local with
   | Some l -> Mem.Segment.base l
   | None -> failwith "Perseas: dirty-chunk list used without a checkpoint target"
-
-let mirror_list m =
-  match m.m_dirty with
-  | Some h -> h
-  | None -> failwith "Perseas: mirror has no dirty-chunk list"
 
 (* The chunk runs [(first, count)] covering [runs] — [(seg, off, len)]
    triples in segment-index order — ascending, adjacent runs merged. *)
@@ -721,20 +785,17 @@ let stage_append t e a =
     t.dirty_pos <- a.a_pos + List.length a.a_runs
   end
 
-(* The convoy chunk storing append [a] from the local staging into
-   mirror [m]'s list. *)
-let append_chunks t m a =
+(* The convoy piece storing append [a] from the local staging into
+   every mirror's list. *)
+let append_pieces t a =
   match a.a_runs with
   | [] -> []
   | runs ->
       let off = a.a_pos * Layout.dirty_entry_size in
       [
-        ( "segmeta",
-          false,
-          mirror_list m,
-          off,
-          dirty_staging t + off,
-          List.length runs * Layout.dirty_entry_size );
+        piece t ~tag:"segmeta" ~widen:false ~win:(list_win t) ~win_len:dirty_list_size ~off
+          ~src_off:(dirty_staging t + off)
+          ~len:(List.length runs * Layout.dirty_entry_size);
       ]
 
 let union_by_seg = Imap.union (fun _ a b -> Some (Iset.union a b))
@@ -856,8 +917,9 @@ let begin_transaction ?(client = "default") t =
   (match List.find_opt (fun x -> x.t_client = client) t.open_txns with
   | Some _ -> raise (Double_begin client)
   | None -> ());
-  traced t ~name:"begin" ~args:(fun () -> [ ("client", client) ]) (fun () ->
-      Clock.advance (clock t) t_begin);
+  let start = Clock.now (clock t) in
+  Clock.advance (clock t) t_begin;
+  if Trace.Sink.enabled t.sink then span_from t ~name:"begin" ~args:[ ("client", client) ] start;
   if (not t.indexed) && (t.open_txns <> [] || t.staged <> []) then fill_index t;
   let id = t.next_txn_id in
   t.next_txn_id <- id + 1;
@@ -921,7 +983,7 @@ let close txn =
    compaction read it — while elision additionally consults it to skip
    redundant undo logging and to coalesce commit propagation. *)
 let txn_iset txn seg =
-  match Imap.find_opt seg.index txn.wset with Some s -> s | None -> Iset.empty
+  match Imap.find seg.index txn.wset with s -> s | exception Not_found -> Iset.empty
 
 (* Record a write-set's {!exact_runs} in the dirty log so an
    ex-mirror can later be resynced incrementally.  [tag] is the lowest
@@ -959,21 +1021,20 @@ let rollback_local txn =
   note_dirty t ~tag:(Int64.add t.epoch 1L) (exact_runs t txn.wset)
 
 (* Losing the last mirror mid-operation must not wedge the library:
-   roll the local image back to the pre-transaction state, close the
-   transaction, and only then let All_mirrors_lost reach the caller —
+   the handler of All_mirrors_lost around a transaction's remote phases
+   rolls the local image back to the pre-transaction state, closes the
+   transaction, and only then lets All_mirrors_lost reach the caller —
    begin_transaction / attach_mirror work again immediately. *)
-let guard_mirror_loss txn f =
-  try f ()
-  with All_mirrors_lost ->
-    let t = txn.owner in
-    traced t ~name:"abort" ~args:(fun () -> [ ("reason", "all_mirrors_lost") ]) (fun () ->
-        rollback_local txn);
-    t.st.aborts <- t.st.aborts + 1;
-    close txn;
-    Log.warn (fun k ->
-        k "all mirrors lost mid-%s: transaction rolled back locally; attach a fresh mirror"
-          (if txn.ranges = [] then "operation" else "transaction"));
-    raise All_mirrors_lost
+let abandon txn =
+  let t = txn.owner in
+  traced t ~name:"abort" ~args:(fun () -> [ ("reason", "all_mirrors_lost") ]) (fun () ->
+      rollback_local txn);
+  t.st.aborts <- t.st.aborts + 1;
+  close txn;
+  Log.warn (fun k ->
+      k "all mirrors lost mid-%s: transaction rolled back locally; attach a fresh mirror"
+        (if txn.ranges = [] then "operation" else "transaction"));
+  raise All_mirrors_lost
 
 (* Undo-slot stride for this engine.  Eager mode keeps the seed's
    64-byte-aligned slots: each record travels to the remote logs on its
@@ -988,31 +1049,31 @@ let guard_mirror_loss txn f =
 let undo_slot_of t =
   if t.config.group_commit <= 1 then Layout.undo_slot else Layout.undo_slot_packed
 
-(* A logged record, header and payload, pushed to the same slot of a
-   mirror's undo log. *)
-let plan_undo t m r =
+(* A logged record, header and payload, pushed to the same slot of
+   every mirror's undo log. *)
+let plan_undo t r =
   let slot = r.staging_off - Layout.undo_header_size in
-  Client.plan_write m.m_client ~widen:t.config.optimized_memcpy m.m_undo ~seg_off:slot
+  plan_to t ~widen:t.config.optimized_memcpy ~win:undo_win ~win_len:t.config.undo_capacity ~off:slot
     ~src_off:(Mem.Segment.base t.undo_local + slot)
     ~len:(Layout.undo_header_size + r.r_len)
 
 (* The eager protocol's remote phases (Figure 3, steps 2 and 3): undo
    records to the remote logs, then at commit the data propagation, the
    dirty-list append (while the list is kept) and the epoch fence.
-   [commit] runs these plans and [commit_packets] counts the same ones,
-   so the two cannot drift. *)
+   Each phase's plans are built once, for every mirror: [commit] runs
+   them and [commit_packets] counts the same ones, so the two cannot
+   drift. *)
 type eager_phase =
   | Undo of range list
   | Propagate of (segment * int * int) list
   | Segmeta of append
   | Fence
 
-let phase_plans t phase m =
-  match phase with
-  | Undo recs -> List.map (plan_undo t m) recs
-  | Propagate runs -> plans_for t runs m
-  | Segmeta a -> [ Client.plan_convoy m.m_client (append_chunks t m a) ]
-  | Fence -> [ plan_epoch_write t m ]
+let phase_plans t = function
+  | Undo recs -> List.map (plan_undo t) recs
+  | Propagate runs -> plans_for t runs
+  | Segmeta a -> [ plan_of t (append_pieces t a) ]
+  | Fence -> [ plan_epoch_write t ]
 
 (* The commit unit: records whose epoch tag went stale while concurrent
    peers committed are re-pushed whole (a joiner recruited
@@ -1035,34 +1096,38 @@ let commit_phases txn w =
   in
   if stale = [] then tail else Undo stale :: tail
 
-(* Run one phase on every live mirror, one span per mirror.  The commit
+(* Run one phase on every live mirror, mirror by mirror, from plans
+   built once; while a sink is live, one span per mirror.  The commit
    phases to one node form one "convoy" (key [t<id>]) as far as the
    causal ordering invariants go. *)
 let run_phase txn phase =
   let t = txn.owner in
-  let op =
-    match phase with
-    | Undo _ -> "remote_undo"
-    | Propagate _ -> "commit_propagate"
-    | Segmeta _ -> "commit_segmeta"
-    | Fence -> "commit_fence"
-  in
+  let plans = phase_plans t phase in
   each_live_mirror t (fun i m ->
-      traced t ~name:op ~args:(fun () -> [ ("mirror", string_of_int i) ]) (fun () ->
-          with_ctx t
-            (fun () ->
-              let id = string_of_int txn.t_id in
-              let convoy = match phase with Undo _ -> [] | _ -> [ ("convoy", "t" ^ id) ] in
-              let epoch =
-                match phase with
-                | Fence -> [ ("epoch", Int64.to_string (Int64.add t.epoch 1L)) ]
-                | _ -> []
-              in
-              [ ("op", op); ("txn", id) ]
-              @ convoy
-              @ [ ("mirror", string_of_int i); ("node", string_of_int (mirror_node_id m)) ]
-              @ epoch)
-            (fun () -> List.iter (run_plan t) (phase_plans t phase m))))
+      if not (Trace.Sink.enabled t.sink) then send t m plans
+      else
+        let op =
+          match phase with
+          | Undo _ -> "remote_undo"
+          | Propagate _ -> "commit_propagate"
+          | Segmeta _ -> "commit_segmeta"
+          | Fence -> "commit_fence"
+        in
+        traced t ~name:op ~args:(fun () -> [ ("mirror", string_of_int i) ]) (fun () ->
+            with_ctx t
+              (fun () ->
+                let id = string_of_int txn.t_id in
+                let convoy = match phase with Undo _ -> [] | _ -> [ ("convoy", "t" ^ id) ] in
+                let epoch =
+                  match phase with
+                  | Fence -> [ ("epoch", Int64.to_string (Int64.add t.epoch 1L)) ]
+                  | _ -> []
+                in
+                [ ("op", op); ("txn", id) ]
+                @ convoy
+                @ [ ("mirror", string_of_int i); ("node", string_of_int (mirror_node_id m)) ]
+                @ epoch)
+              (fun () -> send t m plans)))
 
 (* Append one undo record — the before-image of [seg[off, off+len)] —
    to the local log and push it to every remote log (Figure 3, steps 1
@@ -1075,18 +1140,19 @@ let log_undo_record txn seg ~off ~len =
   let r =
     { r_seg = seg; r_off = off; r_len = len; staging_off = slot + Layout.undo_header_size; r_tag = t.epoch }
   in
-  traced t ~name:"local_undo" (fun () ->
-      let at = Mem.Segment.base t.undo_local + slot in
-      Mem.Image.blit ~src:image ~src_off:(Mem.Segment.base seg.local + off) ~dst:image
-        ~dst_off:(at + Layout.undo_header_size) ~len;
-      Layout.write_undo_header image ~off:at
-        { Layout.epoch = t.epoch; seg_index = seg.index; off; len };
-      charge_local_copy t record_len);
+  let start = Clock.now (clock t) in
+  let at = Mem.Segment.base t.undo_local + slot in
+  Mem.Image.blit ~src:image ~src_off:(Mem.Segment.base seg.local + off) ~dst:image
+    ~dst_off:(at + Layout.undo_header_size) ~len;
+  Layout.write_undo_header image ~off:at { Layout.epoch = t.epoch; seg_index = seg.index; off; len };
+  charge_local_copy t record_len;
+  if Trace.Sink.enabled t.sink then span_from t ~name:"local_undo" start;
   (* Eager mode pipelines each record to the remote logs as it is cut
      (Figure 3, step 2).  Group mode defers: the whole live log ships
      as one convoy per mirror at flush time, so full packets and the
      burst startup amortise across the batch. *)
-  if t.config.group_commit <= 1 then guard_mirror_loss txn (fun () -> run_phase txn (Undo [ r ]));
+  if t.config.group_commit <= 1 then (
+    try run_phase txn (Undo [ r ]) with All_mirrors_lost -> abandon txn);
   txn.ranges <- r :: txn.ranges;
   t.undo_tail <- undo_slot_of t ~off:slot ~payload_len:len;
   if t.undo_tail > t.st.undo_hwm_bytes then t.st.undo_hwm_bytes <- t.undo_tail;
@@ -1165,40 +1231,37 @@ let flush_undo_chunks batch =
    Full64 stream warm-up are paid once per mirror instead of three
    times.  The fence chunk ships the staged epoch word, so the caller
    must run the plan under [with_staged_epoch].  Returns the dirty-list
-   append that rides along, and the plan for mirror [m]: [flush] runs
-   it and [flush_step_count] counts it. *)
+   append that rides along, and the convoy, built once for every
+   mirror: [flush] runs it and [flush_step_count] counts it. *)
 let flush_convoy t batch =
   let undo_chunks = flush_undo_chunks batch in
   let w = batch_runs t batch in
   let append = list_append t w.exact in
-  let chunks m =
+  let widen = t.config.optimized_memcpy in
+  let pieces =
     List.map
       (fun (dst, src, len) ->
-        ("undo", t.config.optimized_memcpy, m.m_undo, dst, Mem.Segment.base t.undo_local + src, len))
+        piece t ~tag:"undo" ~widen ~win:undo_win ~win_len:t.config.undo_capacity ~off:dst
+          ~src_off:(Mem.Segment.base t.undo_local + src)
+          ~len)
       undo_chunks
     @ List.map
         (fun (seg, off, len) ->
-          ( "data",
-            t.config.optimized_memcpy,
-            m.m_segs.(seg.index),
-            off,
-            Mem.Segment.base seg.local + off,
-            len ))
+          piece t ~tag:"data" ~widen ~win:(seg_win seg) ~win_len:seg.size ~off
+            ~src_off:(Mem.Segment.base seg.local + off)
+            ~len)
         w.data
     (* The batch's dirty-list append rides in the same convoy, after
        the data and before the fence — the convoy stays one burst and
        the fence stays strictly last. *)
-    @ append_chunks t m append
+    @ append_pieces t append
     @ [
-        ( "fence",
-          false,
-          m.m_meta,
-          Layout.epoch_offset,
-          Mem.Segment.base t.meta_local + Layout.epoch_offset,
-          8 );
+        piece t ~tag:"fence" ~widen:false ~win:meta_win ~win_len:(meta_size t) ~off:Layout.epoch_offset
+          ~src_off:(Mem.Segment.base t.meta_local + Layout.epoch_offset)
+          ~len:8;
       ]
   in
-  (append, fun m -> Client.plan_convoy m.m_client (chunks m))
+  (append, plan_of t pieces)
 
 (* Overflow relief: flushed transactions leave dead records interleaved
    with the open transactions' live ones, and the tail only resets when
@@ -1249,6 +1312,7 @@ let flush t =
     let n = List.length batch in
     List.iter (fun txn -> retag_records t txn) batch;
     let append, plan = flush_convoy t batch in
+    let plans = [ plan ] in
     stage_append t (Int64.add t.epoch 1L) append;
     t.convoy_seq <- t.convoy_seq + 1;
     let convoy = t.convoy_seq in
@@ -1256,25 +1320,27 @@ let flush t =
     (try
        with_staged_epoch t (Int64.add t.epoch 1L) (fun () ->
            each_live_mirror t (fun i m ->
-               traced t ~name:"flush_convoy"
-                 ~args:(fun () ->
-                   [
-                     ("mirror", string_of_int i);
-                     ("txns", string_of_int n);
-                     ("batch", batch_ids ());
-                   ])
-                 (fun () ->
-                   with_ctx t
-                     (fun () ->
-                       [
-                         ("op", "flush_convoy");
-                         ("batch", batch_ids ());
-                         ("convoy", "c" ^ string_of_int convoy);
-                         ("mirror", string_of_int i);
-                         ("node", string_of_int (mirror_node_id m));
-                         ("epoch", Int64.to_string (Int64.add t.epoch 1L));
-                       ])
-                     (fun () -> run_plan t (plan m)))))
+               if not (Trace.Sink.enabled t.sink) then send t m plans
+               else
+                 traced t ~name:"flush_convoy"
+                   ~args:(fun () ->
+                     [
+                       ("mirror", string_of_int i);
+                       ("txns", string_of_int n);
+                       ("batch", batch_ids ());
+                     ])
+                   (fun () ->
+                     with_ctx t
+                       (fun () ->
+                         [
+                           ("op", "flush_convoy");
+                           ("batch", batch_ids ());
+                           ("convoy", "c" ^ string_of_int convoy);
+                           ("mirror", string_of_int i);
+                           ("node", string_of_int (mirror_node_id m));
+                           ("epoch", Int64.to_string (Int64.add t.epoch 1L));
+                         ])
+                       (fun () -> send t m plans))))
      with All_mirrors_lost ->
        (* No fence landed anywhere: the batch is not durable.  Roll
           every staged transaction back locally; byte overlap between
@@ -1308,17 +1374,20 @@ let set_range txn seg ~off ~len =
   (* The declaration's coordinates ride on the span so trace observers
      (the cost model, notably) can replay the write-set arithmetic
      without participating in the run. *)
-  traced t ~name:"set_range"
-    ~args:(fun () ->
-      [
-        ("txn", string_of_int txn.t_id);
-        ("seg", seg.seg_name);
-        ("idx", string_of_int seg.index);
-        ("off", string_of_int off);
-        ("len", string_of_int len);
-        ("size", string_of_int seg.size);
-      ])
-    (fun () -> Clock.advance (clock t) t_set_range);
+  let start = Clock.now (clock t) in
+  Clock.advance (clock t) t_set_range;
+  if Trace.Sink.enabled t.sink then
+    span_from t ~name:"set_range"
+      ~args:
+        [
+          ("txn", string_of_int txn.t_id);
+          ("seg", seg.seg_name);
+          ("idx", string_of_int seg.index);
+          ("off", string_of_int off);
+          ("len", string_of_int len);
+          ("size", string_of_int seg.size);
+        ]
+      start;
   (* Conflict detection at 64-byte-line granularity — the unit the NIC
      widening and commit glue may ship margin bytes at, so line-level
      disjointness is what makes cross-transaction batching safe.  The
@@ -1401,9 +1470,11 @@ let set_range txn seg ~off ~len =
      Only if the log is still too small does the overflow surface — and
      then only to the caller; staged transactions are already retired
      and open peers untouched. *)
-  if (not (fits t.undo_tail fragments)) && t.staged <> [] then flush t;
-  if not (fits t.undo_tail fragments) then compact_log t;
-  if not (fits t.undo_tail fragments) then raise Undo_overflow;
+  if not (fits t.undo_tail fragments) then begin
+    if t.staged <> [] then flush t;
+    if not (fits t.undo_tail fragments) then compact_log t;
+    if not (fits t.undo_tail fragments) then raise Undo_overflow
+  end;
   List.iter (fun (off, len) -> log_undo_record txn seg ~off ~len) fragments;
   Trace.Gauge.set t.g_undo_tail t.undo_tail;
   txn.wset <- Imap.add seg.index (Iset.add prior ~off ~len) txn.wset;
@@ -1417,8 +1488,10 @@ let set_range txn seg ~off ~len =
 let commit txn =
   check_open txn "commit";
   let t = txn.owner in
-  traced t ~name:"commit" ~args:(fun () -> [ ("txn", string_of_int txn.t_id) ]) (fun () ->
-      Clock.advance (clock t) t_commit);
+  let start = Clock.now (clock t) in
+  Clock.advance (clock t) t_commit;
+  if Trace.Sink.enabled t.sink then
+    span_from t ~name:"commit" ~args:[ ("txn", string_of_int txn.t_id) ] start;
   let w = wset_runs t txn.wset in
   if t.config.redundancy_elision then begin
     t.st.coalesced_ranges <- t.st.coalesced_ranges + max 0 (txn.declared - List.length w.data);
@@ -1429,19 +1502,20 @@ let commit txn =
        bump the epoch everywhere — the per-mirror single-packet commit
        point. *)
     let e = Int64.add t.epoch 1L in
-    guard_mirror_loss txn (fun () ->
-        List.iter
-          (fun phase ->
-            match phase with
-            | Undo _ ->
-                retag_records t txn;
-                run_phase txn phase
-            | Propagate _ -> run_phase txn phase
-            | Segmeta a ->
-                stage_append t e a;
-                run_phase txn phase
-            | Fence -> with_staged_epoch t e (fun () -> run_phase txn phase))
-          (commit_phases txn w));
+    (try
+       List.iter
+         (fun phase ->
+           match phase with
+           | Undo _ ->
+               retag_records t txn;
+               run_phase txn phase
+           | Propagate _ -> run_phase txn phase
+           | Segmeta a ->
+               stage_append t e a;
+               run_phase txn phase
+           | Fence -> with_staged_epoch t e (fun () -> run_phase txn phase))
+         (commit_phases txn w)
+     with All_mirrors_lost -> abandon txn);
     t.epoch <- Int64.add t.epoch 1L;
     note_dirty t ~tag:t.epoch w.exact;
     t.st.committed <- t.st.committed + 1;
@@ -1458,34 +1532,35 @@ let commit txn =
     if List.length t.staged >= t.config.group_commit then flush t
   end
 
-(* Packets the plans [f m] would put on the wire, summed over the live
-   mirrors.  Plans are pure functions of offsets and lengths, so a dry
-   run moves nothing. *)
-let dry_run t f =
+(* The mirrors a remote phase would reach now: the live ones whose
+   server still answers.  A mirror whose node died unnoticed is dropped
+   at the phase's first copy and sends nothing. *)
+let reachable_mirrors t =
   Array.fold_left
-    (fun count m ->
-      if not m.m_alive then count
-      else List.fold_left (fun count plan -> count + Sci.Nic.plan_packets plan) count (f m))
+    (fun n m -> if m.m_alive && Client.reachable m.m_client then n + 1 else n)
     0 t.mirrors
 
-(* How many flush packets the queue [batch] would cost right now: one
-   merged convoy per mirror (packed undo chain, merged data runs,
-   fence).  An empty batch flushes nothing and costs nothing.  The
-   chunk list is a pure function of the batch's records — a dry run
-   moves nothing — and matches what the real flush will ship. *)
+(* How many flush packets the queue [batch] would cost right now: the
+   merged convoy (packed undo chain, merged data runs, fence) once per
+   reachable mirror.  An empty batch flushes nothing and costs nothing.
+   The convoy is a pure function of the batch's records — a dry run
+   moves nothing — and is the one the real flush will ship. *)
 let flush_step_count t batch =
   match batch with
   | [] -> 0
   | _ :: _ ->
       let _, plan = flush_convoy t batch in
-      dry_run t (fun m -> [ plan m ])
+      reachable_mirrors t * Sci.Nic.plan_packets plan
 
 let commit_packets txn =
   check_open txn "commit_packets";
   let t = txn.owner in
   if t.config.group_commit <= 1 then
-    let phases = commit_phases txn (wset_runs t txn.wset) in
-    dry_run t (fun m -> List.concat_map (fun phase -> phase_plans t phase m) phases)
+    let packets phase =
+      List.fold_left (fun n plan -> n + Sci.Nic.plan_packets plan) 0 (phase_plans t phase)
+    in
+    reachable_mirrors t
+    * List.fold_left (fun n phase -> n + packets phase) 0 (commit_phases txn (wset_runs t txn.wset))
   else
     (* The transaction's MARGINAL packets: what the flush costs with it
        staged, minus what the already-staged queue costs alone — the
@@ -1516,6 +1591,11 @@ let abort txn =
    set_range made. *)
 let covered txn seg ~off ~len = Iset.covers (txn_iset txn seg) ~off ~len
 
+(* [List.exists (covered ...)] over [txns], without a closure per write. *)
+let rec covered_by_open seg ~off ~len = function
+  | [] -> false
+  | txn :: rest -> covered txn seg ~off ~len || covered_by_open seg ~off ~len rest
+
 let write t seg ~off data =
   let len = Bytes.length data in
   check_seg_range seg ~off ~len "write";
@@ -1528,7 +1608,7 @@ let write t seg ~off data =
         match Lines.find t.owners (line seg off) with
         | txn -> txn.state = Open && covered txn seg ~off ~len
         | exception Not_found -> false
-      else List.exists (fun txn -> covered txn seg ~off ~len) t.open_txns
+      else covered_by_open seg ~off ~len t.open_txns
     in
     if not ok then
       if t.open_txns = [] then failwith "Perseas.write: no open transaction"
@@ -1538,7 +1618,9 @@ let write t seg ~off data =
              seg.seg_name)
   end;
   Mem.Image.write_bytes (local_dram t) ~off:(Mem.Segment.base seg.local + off) data;
-  traced t ~name:"in_place_write" (fun () -> charge_local_copy t len)
+  let start = Clock.now (clock t) in
+  charge_local_copy t len;
+  if Trace.Sink.enabled t.sink then span_from t ~name:"in_place_write" start
 
 let read t seg ~off ~len =
   check_seg_range seg ~off ~len "read";
@@ -1657,7 +1739,8 @@ let fence_joiner t m =
   Mem.Image.write_u64 image base 0L;
   Fun.protect
     ~finally:(fun () -> Mem.Image.write_u64 image base saved)
-    (fun () -> run_plan t (Client.plan_write m.m_client m.m_meta ~seg_off:0 ~src_off:base ~len:8))
+    (fun () ->
+      send t m [ plan_to t ~widen:true ~win:meta_win ~win_len:(meta_size t) ~off:0 ~src_off:base ~len:8 ])
 
 exception Not_incremental of string
 
@@ -1700,14 +1783,7 @@ let joiner_handles t client ~exact =
         get (Layout.db_export_name ~ns seg.seg_name) seg.size (Printf.sprintf "segment %S" seg.seg_name))
       (segments t)
   in
-  {
-    m_client = client;
-    m_meta = meta;
-    m_undo = undo;
-    m_dirty = list;
-    m_segs = Array.of_list segs;
-    m_alive = true;
-  }
+  mirror client ~meta ~undo ~segs:(Array.of_list segs) ~list
 
 let add_dirty acc d =
   let prev = Option.value (Imap.find_opt d.d_seg acc) ~default:Iset.empty in
@@ -1750,9 +1826,11 @@ let scrub_open t put =
    name chunks for recovery to fetch from the mirror, which is safe. *)
 let ship_list t m =
   if listing t && t.dirty_pos > 0 then
-    run_plan t
-      (Client.plan_write m.m_client ~widen:t.config.optimized_memcpy (mirror_list m) ~seg_off:0
-         ~src_off:(dirty_staging t) ~len:(t.dirty_pos * Layout.dirty_entry_size))
+    send t m
+      [
+        plan_to t ~widen:t.config.optimized_memcpy ~win:(list_win t) ~win_len:dirty_list_size ~off:0
+          ~src_off:(dirty_staging t) ~len:(t.dirty_pos * Layout.dirty_entry_size);
+      ]
 
 (* Bring [server] in as a mirror.  An ex-mirror retired at an epoch the
    dirty log still reaches, whose objects survived intact, is owed only
@@ -1792,11 +1870,10 @@ let do_attach ~op ~allow_incremental t ~server =
     t.mirrors <- Array.append t.mirrors [| m |];
     let copy = if t.ready then owed t ~since else [] in
     if t.ready then fence_joiner t m;
-    List.iter (run_plan t) (plans_for t copy m);
+    send t m (plans_for t copy);
     ship_list t m;
     scrub_open t (fun seg ~off ~src_off ~len ->
-        run_plan t
-          (Client.plan_write client ~widen:false m.m_segs.(seg.index) ~seg_off:off ~src_off ~len));
+        send t m [ plan_to t ~widen:false ~win:(seg_win seg) ~win_len:seg.size ~off ~src_off ~len ]);
     Hashtbl.remove t.retired node_id;
     let copied = List.fold_left (fun acc (_, _, len) -> acc + len) 0 copy in
     if t.ready then begin
@@ -1896,17 +1973,14 @@ module Checkpoint = struct
     Bytes.fill t.dirty_listed 0 (Bytes.length t.dirty_listed) '\000';
     let word = Mem.Segment.base t.meta_local + Layout.ckpt_base_offset in
     Mem.Image.write_u64 (local_dram t) word cut;
-    Array.iter
-      (fun m ->
-        ignore
-          (with_mirror t m (fun () ->
-               with_ctx t
-                 (fun () -> [ ("op", "list_base"); ("node", string_of_int (mirror_node_id m)) ])
-                 (fun () ->
-                   run_plan t
-                     (Client.plan_write m.m_client ~widen:false m.m_meta
-                        ~seg_off:Layout.ckpt_base_offset ~src_off:word ~len:8)))))
-      t.mirrors
+    let plan =
+      plan_to t ~widen:false ~win:meta_win ~win_len:(meta_size t) ~off:Layout.ckpt_base_offset
+        ~src_off:word ~len:8
+    in
+    on_live_mirrors t (fun _ m ->
+        with_ctx t
+          (fun () -> [ ("op", "list_base"); ("node", string_of_int (mirror_node_id m)) ])
+          (fun () -> send t m [ plan ]))
 
   (* Loss of the checkpoint target is a degraded-mode event like a
      mirror loss, not a bug: drop the target, stop the dirty-chunk list
@@ -2002,7 +2076,8 @@ module Checkpoint = struct
           Some
             (connect_or_export m.m_client
                ~name:(Layout.dirty_list_name ~ns:t.config.namespace)
-               ~size:dirty_list_size));
+               ~size:dirty_list_size);
+        rebind m);
     t.ckpt_target <- Some tg;
     t.ckpt_gen <- 0L
 
@@ -2318,14 +2393,9 @@ let recover_replicated ?(config = default_config) ?(sink = Trace.Sink.noop) ?hoo
   let t =
     make ~config ~cluster ~local_id:local ~epoch:new_epoch
       [|
-        {
-          m_client = client;
-          m_meta = meta_remote;
-          m_undo = undo_remote;
-          m_dirty = None;
-          m_segs = Array.of_list (List.map (fun (_, _, h) -> h) remotes);
-          m_alive = true;
-        };
+        mirror client ~meta:meta_remote ~undo:undo_remote
+          ~segs:(Array.of_list (List.map (fun (_, _, h) -> h) remotes))
+          ~list:None;
       |]
   in
   t.sink <- sink;

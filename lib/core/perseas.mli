@@ -567,13 +567,18 @@ val set_packet_hook : t -> (unit -> unit) option -> unit
 
 val commit_packets : txn -> int
 (** Number of remote packets committing this transaction would add to
-    the wire now (dry run).  Eager mode: data-propagation packets plus
-    one epoch packet per mirror, exactly what {!commit} sends.  Group
-    mode: the transaction's {e marginal} packets — the flush cost of
-    the staged queue with it minus without it, so shared convoy
-    startup and the per-mirror fence are counted once per flush, not
-    once per transaction; summing it over a batch committed
-    back-to-back equals the flush's measured NIC packet delta. *)
+    the wire now (dry run).  Each phase's packets are counted once, from
+    the plans {!commit} builds for all mirrors, and multiplied by the
+    mirrors the commit would reach: the live ones whose server is
+    reachable.  A mirror whose node died unnoticed is dropped at the
+    commit's first copy and sends nothing, so it counts nothing.  Eager
+    mode: data-propagation packets plus one epoch packet per reachable
+    mirror, exactly what {!commit} sends.  Group mode: the
+    transaction's {e marginal} packets — the flush cost of the staged
+    queue with it minus without it, so shared convoy startup and the
+    per-mirror fence are counted once per flush, not once per
+    transaction; summing it over a batch committed back-to-back equals
+    the flush's measured NIC packet delta. *)
 
 (** {1 Statistics} *)
 

@@ -4,7 +4,8 @@ module Node = Cluster.Node
 (* Everything a plan needs is resolved once, here: the NIC, the hop
    count and both DRAM images.  A node's image is never replaced (a
    crash wipes it in place), so the handles stay valid for the client's
-   life; reachability is still checked on every plan. *)
+   life; reachability is still checked on every plan, and before every
+   run on a {!dest}. *)
 type t = {
   cluster : Cluster.t;
   local : int;
@@ -112,21 +113,13 @@ let plan_write t ?(widen = true) h ~seg_off ~src_off ~len =
   if widen then do_plan_write ~window:h.Remote_segment.seg t h ~seg_off ~src_off ~len
   else do_plan_write t h ~seg_off ~src_off ~len
 
-let plan_convoy t chunks =
-  let mk (tag, widen, (h : Remote_segment.t), seg_off, src_off, len) =
-    check_handle t h "write";
-    check_range h ~seg_off ~len "write";
-    {
-      Sci.Nic.ck_tag = tag;
-      ck_window = (if widen then Some h.Remote_segment.seg else None);
-      ck_src = t.local_dram;
-      ck_src_off = src_off;
-      ck_dst = t.remote_dram;
-      ck_dst_off = Remote_segment.base h + seg_off;
-      ck_len = len;
-    }
-  in
-  Sci.Nic.plan_convoy t.nic ~hops:t.hops (List.map mk chunks)
+let dest t handles =
+  Array.iter (fun h -> check_handle t h "dest") handles;
+  Sci.Nic.dest t.nic ~image:t.remote_dram ~bases:(Array.map Remote_segment.base handles)
+    ~lens:(Array.map Remote_segment.len handles) ~hops:t.hops
+
+let reachable t = Server.is_alive t.server
+let check t = ensure_reachable t "write"
 
 let write t h ~seg_off ~src_off ~len = Sci.Nic.run t.nic (plan_write t h ~seg_off ~src_off ~len)
 

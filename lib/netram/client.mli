@@ -60,13 +60,24 @@ val write : t -> Remote_segment.t -> seg_off:int -> src_off:int -> len:int -> un
 val plan_write : t -> ?widen:bool -> Remote_segment.t -> seg_off:int -> src_off:int -> len:int -> Sci.Nic.plan
 (** The packet-level plan of {!write}, for fault injection. *)
 
-val plan_convoy :
-  t -> (string * bool * Remote_segment.t * int * int * int) list -> Sci.Nic.plan
-(** Several writes to this client's server fused into one burst
-    ({!Sci.Nic.plan_convoy}): each element is
-    [(tag, widen, handle, seg_off, src_off, len)], checked like
-    {!write}.  Group commit ships a whole batch's undo records and
-    data runs to a mirror as two such convoys. *)
+val dest : t -> Remote_segment.t array -> Sci.Nic.dest
+(** The destination whose window [i] is [handles.(i)] on this client's
+    server, for plans built without one ({!Sci.Nic.plan_pieces}): a
+    plan built against windows of these lengths runs on it with
+    {!Sci.Nic.run_to}, which refuses a piece past its handle's end, as
+    {!write} does.  Every handle is checked like {!write} checks its
+    handle.  A handle's freshness cannot change while its server
+    stays alive, so a caller that keeps the destination need only
+    {!check} the server before each run; it must build a new one when
+    it frees a handle.  PERSEAS builds one per mirror and runs each
+    eager phase's plans on every mirror's. *)
+
+val reachable : t -> bool
+(** Whether the server is up and has not rebooted since the client
+    mapped it — free, unlike {!ping}. *)
+
+val check : t -> unit
+(** Raise {!Unreachable} unless {!reachable}. *)
 
 val read : t -> Remote_segment.t -> seg_off:int -> dst_off:int -> len:int -> unit
 (** Remote→local copy (recovery path). *)

@@ -22,21 +22,34 @@ let charge (p : Params.t) ~hops dir ~first ~bonus ~streamed kind =
     + (if first then overhead p ~hops dir else Time.zero)
     - if bonus then p.t_lastword_bonus else Time.zero)
 
-let burst p ~hops dir ~full64 ~part16 ~last ~bonus =
+(* Everything a burst's packets charge but the first packet's
+   overhead, which alone depends on the ring distance.  Only the last
+   packet can clamp, so the others sum in closed form: the first Full64
+   pays the pipeline fill, the remaining Full64s stream.  A one-packet
+   burst's own charge is left unclamped: the overhead joins it first. *)
+let burst_body p dir ~full64 ~part16 ~last ~bonus =
   let n = full64 + part16 in
-  let extra = overhead p ~hops dir in
   if n = 0 then Time.zero
   else
-    (* Only the last packet can clamp, so the others sum in closed
-       form: the first pays the burst overhead, the first Full64 the
-       pipeline fill, the remaining Full64s stream. *)
     let last_full = match (last : Packet.kind) with Full64 -> 1 | Part16 -> 0 in
     let f = full64 - last_full in
-    (if n > 1 then extra else Time.zero)
-    + (if f > 0 then packet p dir ~streamed:false Full64 + ((f - 1) * packet p dir ~streamed:true Full64)
-       else Time.zero)
+    let own =
+      packet p dir ~streamed:(last_full = 1 && full64 > 1) last
+      - if bonus then p.t_lastword_bonus else Time.zero
+    in
+    (if f > 0 then packet p dir ~streamed:false Full64 + ((f - 1) * packet p dir ~streamed:true Full64)
+     else Time.zero)
     + ((n - 1 - f) * packet p dir ~streamed:false Part16)
-    + charge p ~hops dir ~first:(n = 1) ~bonus ~streamed:(last_full = 1 && full64 > 1) last
+    + if n = 1 then own else Int.max Time.zero own
+
+let burst_at p ~hops dir ~packets body =
+  let extra = overhead p ~hops dir in
+  if packets = 0 then Time.zero
+  else if packets = 1 then Int.max Time.zero (body + extra)
+  else body + extra
+
+let burst p ~hops dir ~full64 ~part16 ~last ~bonus =
+  burst_at p ~hops dir ~packets:(full64 + part16) (burst_body p dir ~full64 ~part16 ~last ~bonus)
 
 let range p ?(hops = 1) dir ~off ~len =
   if off < 0 || len < 0 then invalid_arg "Model: negative range";

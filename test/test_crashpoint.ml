@@ -74,6 +74,20 @@ let test_mirror_victim_total_loss () =
     (r.old_images + r.new_images);
   check_bool (r.label ^ ": total loss rolls back") true (r.old_images > 0)
 
+(* Three mirrors, the middle one dies at each boundary.  Each phase goes
+   to mirror 0, then 1, then 2 from one plan, so the cuts land before,
+   inside and after the victim's share of every phase: the commit must
+   always complete against the two survivors, which stay clean.  The
+   victim must also be dropped: the sweep's scrub reads every mirror
+   the engine still counts live, and a dead node's memory cannot be
+   read. *)
+let test_mirror_victim_mid_fanout () =
+  let r = C.sweep ~victim:(C.Mirror 1) (C.commit_scenario ~mirrors:3 ()) in
+  check_shape r ~min_packets:20;
+  check_int (r.label ^ ": points, the control run included") 85 (List.length r.points);
+  check_int (r.label ^ ": the victim dies at every cut") r.total_packets (crashes r);
+  check_int (r.label ^ ": commit always completes degraded") (List.length r.points) r.new_images
+
 (* The registry the CLI takes its scenario names from: nine names in
    list order, recovery swept by both recovering orders by default and
    every other scenario by its primary. *)
@@ -123,4 +137,5 @@ let suite =
     ("attach_mirror resync sweep", `Slow, test_attach_resync);
     ("mirror-victim sweep, degraded", `Slow, test_mirror_victim_degraded);
     ("mirror-victim sweep, total loss", `Slow, test_mirror_victim_total_loss);
+    ("mirror-victim sweep, middle of three", `Quick, test_mirror_victim_mid_fanout);
   ]

@@ -105,6 +105,34 @@ let test_all_mirrors_lost_raises () =
   let txn = P.begin_transaction b.t in
   P.abort txn
 
+(* A mirror whose node dies after the transaction declared its range is
+   noticed only by the commit, which drops it at its first copy and
+   sends the rest to the survivor.  The dry run counts the mirrors the
+   commit will reach, so it still equals the packets the commit — and
+   in group mode the flush that carries it — puts on the wire. *)
+let test_commit_packets_after_unnoticed_death () =
+  List.iter
+    (fun (mode, config) ->
+      let b, seg = with_db ?config ~k:2 () in
+      let nic = Cluster.nic b.cluster in
+      let packets () =
+        let c = Sci.Nic.counters nic in
+        c.Sci.Nic.packets64 + c.Sci.Nic.packets16
+      in
+      let txn = P.begin_transaction b.t in
+      P.set_range txn seg ~off:72 ~len:24;
+      P.write b.t seg ~off:72 (Bytes.make 24 'u');
+      ignore (Cluster.crash_node b.cluster 2 Cluster.Failure.Hardware_error);
+      let predicted = P.commit_packets txn in
+      let p0 = packets () in
+      P.commit txn;
+      P.flush b.t;
+      check_int (mode ^ ": dry run = the commit's NIC packet delta") predicted (packets () - p0);
+      check_bool (mode ^ ": the commit sent something") true (predicted > 0);
+      check (Alcotest.list Alcotest.int) (mode ^ ": the dead mirror was dropped") [ 1 ]
+        (P.live_mirrors b.t))
+    [ ("eager", None); ("group", Some { P.default_config with group_commit = 4 }) ]
+
 let test_mid_commit_total_loss_recovers () =
   (* Both mirrors die in the middle of commit's packet stream: the
      commit must raise All_mirrors_lost, roll the local image back, and
@@ -402,4 +430,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_replicated_crash_atomicity;
     ("survives k-1 mirror failures", `Quick, test_survives_k_minus_1_failures);
     ("replication cost scaling", `Quick, test_replication_cost_scales);
+    ( "commit_packets counts only the mirrors the commit reaches",
+      `Quick,
+      test_commit_packets_after_unnoticed_death );
   ]

@@ -525,6 +525,180 @@ let prop_walk_equals_bulk =
       && bulk.now - start = Sci.Nic.plan_latency plan
       && Sci.Nic.plan_latency plan = List.fold_left (fun acc (_, _, cost, _) -> acc + cost) 0 expected)
 
+(* One plan, several destinations: a plan built once without a
+   destination and run on each of 1–3 destinations (an image of its
+   own, buffer-aligned window bases, 1–4 hops) must end exactly where
+   one plan built per destination, at that destination's addresses and
+   hop count, ends: the same bytes in every image, the same counters,
+   the clock after each run, the hook calls and the piece instants — on
+   the bulk, sink and walked paths.  The walk charges packet by packet,
+   so the bulk and sink runs must also end where it ends.  One parameter
+   set makes a one-packet burst's latency clamp at zero at one hop but
+   not at more. *)
+type copy = { win : int; off : int; len : int; widen : bool; skew : int }
+
+let win_len w = if w = 0 then 512 else 448
+let copy_tag c = if c.win = 0 then "undo" else "data"
+
+(* Within the window; half the copies are one 16-byte packet ending on
+   a buffer's last word, whose burst alone earns the last-word bonus
+   and, under the clamping parameters, clamps at one hop. *)
+let gen_copy =
+  let open QCheck.Gen in
+  let* win = int_bound 1 in
+  let wl = win_len win in
+  let* off, len =
+    oneof
+      [
+        (let* off = int_bound (wl - 1) in
+         map (fun len -> (off, len)) (int_bound (Int.min 160 (wl - off))));
+        map2 (fun k e -> ((64 * k) + 48, 16 - e)) (int_bound ((wl / 64) - 1)) (int_bound 3);
+      ]
+  in
+  let* widen = bool in
+  let* skew = oneofl [ 0; 0; 64; 7 ] in
+  return { win; off; len; widen; skew }
+
+(* Window [w] of a destination starts [64 * r] bytes into its own 4 KiB. *)
+let gen_dest =
+  QCheck.Gen.(map (fun (hops, r0, r1) -> (hops, [| 64 * r0; 4096 + (64 * r1) |])) (triple (int_range 1 4) (int_bound 55) (int_bound 55)))
+
+let params_sets =
+  [
+    ("default", Sci.Params.default);
+    ("projected 6y", Sci.Params.projected ~years:6 ());
+    ( "clamping",
+      { Sci.Params.default with t_base = 0; t_lastword_bonus = Sci.Params.default.t_pkt16 + Time.us 0.4 } );
+  ]
+
+let src_off c = 2048 + (1024 * c.win) + c.off + c.skew
+
+(* Run [copies] on every destination, either from one plan ([shared]) or
+   from one plan per destination. *)
+let run_dests ~params ~observe ~shared copies dests =
+  let clock = Clock.create ~at:start () in
+  let nic = Sci.Nic.create ~params clock in
+  let src = Mem.Image.create ~size:8192 in
+  for i = 0 to 8191 do
+    Mem.Image.write_u8 src i (1 + (i mod 251))
+  done;
+  let hooks = ref 0 and sink = Trace.Sink.memory () in
+  if observe = `Sink then Sci.Nic.set_sink nic sink;
+  let before = if observe = `Walk then Some (fun () -> incr hooks) else None in
+  let plan =
+    Sci.Nic.plan_pieces nic
+      (List.map
+         (fun c ->
+           Sci.Nic.piece nic ~tag:(copy_tag c) ~widen:c.widen ~win:c.win ~win_len:(win_len c.win)
+             ~off:c.off ~src ~src_off:(src_off c) ~len:c.len)
+         copies)
+  in
+  let run (hops, bases) =
+    let image = Mem.Image.create ~size:8192 in
+    (if shared then
+       Sci.Nic.run_to ?before nic (Sci.Nic.dest nic ~image ~bases ~lens:[| win_len 0; win_len 1 |] ~hops) plan
+     else
+       Sci.Nic.run ?before nic
+         (Sci.Nic.plan_convoy nic ~hops
+            (List.map
+               (fun c ->
+                 let base = bases.(c.win) in
+                 {
+                   Sci.Nic.ck_tag = copy_tag c;
+                   ck_window = (if c.widen then Some (Mem.Segment.v ~base ~len:(win_len c.win)) else None);
+                   ck_src = src;
+                   ck_src_off = src_off c;
+                   ck_dst = image;
+                   ck_dst_off = base + c.off;
+                   ck_len = c.len;
+                 })
+               copies)));
+    (Bytes.to_string (Mem.Image.read_bytes image ~off:0 ~len:8192), Clock.now clock)
+  in
+  let ends = List.map run dests in
+  (ends, Sci.Nic.counters nic, !hooks, Trace.Sink.events sink)
+
+let prop_one_plan_many_destinations =
+  QCheck.Test.make ~name:"nic: one plan runs on several destinations" ~count:500
+    (QCheck.make
+       ~print:(fun (ps, copies, dests) ->
+         Printf.sprintf "params %s, copies [%s], destinations [%s]" (fst (List.nth params_sets ps))
+           (String.concat "; "
+              (List.map
+                 (fun c -> Printf.sprintf "w%d %d+%d widen=%b skew=%d" c.win c.off c.len c.widen c.skew)
+                 copies))
+           (String.concat "; "
+              (List.map (fun (h, b) -> Printf.sprintf "hops %d at %d,%d" h b.(0) b.(1)) dests)))
+       QCheck.Gen.(
+         triple (int_bound 2)
+           (oneof [ map (fun c -> [ c ]) gen_copy; list_size (int_range 2 4) gen_copy ])
+           (list_size (int_range 1 3) gen_dest)))
+    (fun (ps, copies, dests) ->
+      let params = snd (List.nth params_sets ps) in
+      let run observe shared = run_dests ~params ~observe ~shared copies dests in
+      let ((walked, walked_counters, _, _) as walk) = run `Walk true in
+      List.for_all
+        (fun observe ->
+          let ((ends, counters, _, _) as shared) = run observe true in
+          shared = run observe false && ends = walked && counters = walked_counters)
+        [ `Bulk; `Sink ]
+      && walk = run `Walk false)
+
+(* A destination's windows bound the plan: a piece that ends past its
+   window's length there is refused before any piece moves, though the
+   image behind the window is large enough to take it. *)
+let test_nic_refuses_piece_past_window () =
+  let clock = Clock.create ~at:start () in
+  let nic = Sci.Nic.create clock in
+  let src = Mem.Image.create ~size:4096 in
+  Mem.Image.fill src ~off:0 ~len:4096 'x';
+  let plan =
+    Sci.Nic.plan_pieces nic
+      [
+        Sci.Nic.piece nic ~tag:"data" ~widen:false ~win:0 ~win_len:256 ~off:0 ~src ~src_off:0 ~len:64;
+        Sci.Nic.piece nic ~tag:"undo" ~widen:false ~win:1 ~win_len:256 ~off:128 ~src ~src_off:0 ~len:128;
+      ]
+  in
+  let image = Mem.Image.create ~size:4096 in
+  let short = Sci.Nic.dest nic ~image ~bases:[| 0; 1024 |] ~lens:[| 256; 192 |] ~hops:1 in
+  List.iter
+    (fun before ->
+      (try
+         Sci.Nic.run_to ?before nic short plan;
+         Alcotest.fail "expected Invalid_argument"
+       with Invalid_argument _ -> ());
+      check_bool "no byte moved" true
+        (Mem.Image.equal_range image (Mem.Image.create ~size:4096) ~off:0 ~len:4096);
+      check_int "no time charged" start (Clock.now clock);
+      check_int "no packet counted" 0 (Sci.Nic.counters nic).packets16)
+    [ None; Some ignore ];
+  Sci.Nic.run_to nic (Sci.Nic.dest nic ~image ~bases:[| 0; 1024 |] ~lens:[| 256; 256 |] ~hops:1) plan;
+  check_int "the plan fits windows of the lengths it was built for" 192 (Sci.Nic.plan_bytes plan)
+
+(* A plan built without a destination runs only through [run_to]:
+   [run], [run_all] (whose bulk pass checks nothing per plan) and
+   [plan_latency] refuse it, with pieces or without, and move nothing. *)
+let test_nic_refuses_unbound_plan () =
+  let clock = Clock.create ~at:start () in
+  let nic = Sci.Nic.create clock in
+  let src = Mem.Image.create ~size:256 in
+  let copy = Sci.Nic.piece nic ~tag:"data" ~widen:false ~win:0 ~win_len:256 ~off:0 ~src ~src_off:0 ~len:64 in
+  List.iter
+    (fun plan ->
+      List.iter
+        (fun (what, f) ->
+          match f () with
+          | () -> Alcotest.failf "%s: expected Invalid_argument" what
+          | exception Invalid_argument _ -> ())
+        [
+          ("run", fun () -> Sci.Nic.run nic plan);
+          ("run_all", fun () -> Sci.Nic.run_all nic [ (clock, plan) ]);
+          ("plan_latency", fun () -> ignore (Sci.Nic.plan_latency plan));
+        ];
+      check_int "no time charged" start (Clock.now clock);
+      check_int "no burst counted" 0 (Sci.Nic.counters nic).bursts)
+    [ Sci.Nic.plan_pieces nic [ copy ]; Sci.Nic.plan_pieces nic [] ]
+
 let suite =
   [
     ("packet: small store", `Quick, test_packet_small_store);
@@ -556,6 +730,9 @@ let suite =
     ("nic: partial application lands a prefix", `Quick, test_nic_step_by_step_partial);
     ("nic: hops below one rejected", `Quick, test_nic_rejects_zero_hops);
     QCheck_alcotest.to_alcotest prop_walk_equals_bulk;
+    QCheck_alcotest.to_alcotest prop_one_plan_many_destinations;
+    ("nic: a piece past its window is refused", `Quick, test_nic_refuses_piece_past_window);
+    ("nic: a plan without a destination is refused", `Quick, test_nic_refuses_unbound_plan);
     ("nic: remote read roundtrip", `Quick, test_nic_read_roundtrip);
     ("nic: run_all ends where run ends", `Quick, test_nic_run_all_equals_run);
     ("nic: u64 roundtrip", `Quick, test_nic_u64_roundtrip);
